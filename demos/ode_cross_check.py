@@ -14,10 +14,9 @@ import numpy as np
 
 from expwell import (
     PotentialParams,
-    ShootingConfig,
     amplitudes,
     find_spectrum,
-    numerov_eigenvalue,
+    shooting_kappa,
     transmission_numeric,
 )
 
@@ -27,9 +26,7 @@ spectrum = find_spectrum(params)
 print("g = 5 eigenvalues: closed form vs Numerov shooting")
 print(f"{'m':>2} {'parity':>6} {'kappa (closed)':>16} {'kappa (ODE)':>16} {'gap':>9}")
 for st in spectrum.states:
-    cfg = ShootingConfig(parity=st.parity,
-                         kappa_bracket=(st.kappa - 1e-4, st.kappa + 1e-4))
-    k_ode = numerov_eigenvalue(params, cfg)
+    k_ode = shooting_kappa(st, params)
     print(f"{st.m:2d} {st.parity:>6} {st.kappa:16.10f} {k_ode:16.10f} "
           f"{abs(st.kappa - k_ode):9.1e}")
 print()

@@ -43,6 +43,7 @@ from .oracle import (
     ShootingConfig,
     numerov_eigenvalue,
     numerov_wavefunction,
+    shooting_kappa,
     transmission_numeric,
 )
 from .scatter import (
@@ -101,6 +102,7 @@ __all__ = [
     "potential",
     "rho",
     "shape_invariance_residual",
+    "shooting_kappa",
     "transmission_numeric",
     "v1_closed_form",
     "wronskian_bessel",

@@ -87,14 +87,10 @@ def cmd_spectrum(args) -> int:
     oracle_delta: dict[int, float] = {}
     if args.verify:
         for s in spectrum.states:
-            if s.kappa < 5e-3:
-                continue  # shooting grid ~ 60/kappa would be astronomical
-            cfg = oracle.ShootingConfig(
-                parity=s.parity,
-                kappa_bracket=(max(s.kappa - 1e-4, s.kappa / 2),
-                               s.kappa + 1e-4))
-            oracle_delta[s.m] = abs(
-                oracle.numerov_eigenvalue(params, cfg) - s.kappa)
+            # None below oracle.SHOOTING_KAPPA_MIN: the state is not checked
+            kappa = oracle.shooting_kappa(s, params)
+            if kappa is not None:
+                oracle_delta[s.m] = abs(kappa - s.kappa)
 
     cond = max(
         abs(bound.even_condition(s.kappa, params.g)) if s.parity == "even"

@@ -3,9 +3,10 @@
 Bound states: fourth-order Numerov integration of -psi'' + V psi =
 -kappa^2 psi from a far cutoff inward with a decaying start; the
 matching defect at the origin (psi' for even parity, psi for odd) is
-bisected to zero in kappa.  Scattering: the complex second-order ODE is
-integrated right-to-left with an adaptive RK45 stepper and projected
-onto plane waves to extract the transmitted/reflected amplitudes.
+driven to zero in kappa by Brent's method.  Scattering: the complex
+second-order ODE is integrated right-to-left with an adaptive RK45
+stepper and projected onto plane waves to extract the
+transmitted/reflected amplitudes.
 
 Nothing here touches the Bessel kernels, which is the point: agreement
 with the closed-form spectra and amplitudes is evidence for both.
@@ -18,27 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from .bound import PotentialParams
+from .bound import BoundState, PotentialParams
 from .errors import BracketError, StepSizeUnderflow
 
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(**kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
 __all__ = [
+    "SHOOTING_KAPPA_MIN",
     "ShootingConfig",
     "numerov_eigenvalue",
     "numerov_wavefunction",
+    "shooting_kappa",
     "transmission_numeric",
 ]
+
+# weakest binding that verify and `spectrum --verify` check against the
+# oracle.  Shooting meets their absolute 1e-7 gap gate further down (probes
+# near the thresholds down to kappa ~ 1e-7 stay within 4e-8), but below
+# this the gate is over a fifth of kappa and would pass a visibly wrong one
+SHOOTING_KAPPA_MIN = 5e-7
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class ShootingConfig:
 
     parity: str
     kappa_bracket: tuple[float, float]
-    x_max: float | None = None     # default max(40, 60/kappa), grid aligned
+    x_max: float | None = None     # default max(40, ln(g^2/kappa^2) + 40)
     h: float = 1e-3
 
     def __post_init__(self):
@@ -60,7 +59,6 @@ class ShootingConfig:
             raise ValueError(f"invalid kappa bracket {self.kappa_bracket}")
 
 
-@njit(cache=False)
 def _numerov_sweep(kappa: float, g: float, h: float, n: int, even: bool,
                    keep: bool, out: np.ndarray) -> float:
     """Integrate inward over n steps ending exactly at x = 0.
@@ -114,40 +112,59 @@ def _numerov_sweep(kappa: float, g: float, h: float, n: int, even: bool,
     return p1 / norm
 
 
-def _grid_size(kappa: float, h: float, x_max: float | None) -> int:
-    target = x_max if x_max is not None else max(40.0, 60.0 / kappa)
-    return int(math.ceil(target / h))
+def _grid_size(kappa: float, g: float, h: float, x_max: float | None) -> int:
+    """Steps from the cutoff to the origin.
+
+    The inward start e^(-kappa x) solves the free equation, so at the
+    cutoff it carries an admixture of the growing solution of order
+    V(x_max)/kappa^2 = g^2 e^(-x_max)/kappa^2.  Integrating inward damps
+    that admixture only by e^(-2 kappa x_max), which is close to 1 for a
+    weakly bound state, so a cutoff scaled with 1/kappa buys nothing
+    there.  The default cutoff instead ends the grid where the potential
+    is negligible, g^2 e^(-x_max)/kappa^2 = e^(-40), which bounds the
+    admixture directly, and never before x = 40.
+    """
+    if x_max is None:
+        x_max = max(40.0, math.log(g * g / (kappa * kappa)) + 40.0)
+    return int(math.ceil(x_max / h))
 
 
 def _defect(kappa: float, params: PotentialParams, cfg: ShootingConfig) -> float:
-    n = _grid_size(kappa, cfg.h, cfg.x_max)
+    n = _grid_size(kappa, params.g, cfg.h, cfg.x_max)
     dummy = np.empty(0)
     return _numerov_sweep(kappa, params.g, cfg.h, n, cfg.parity == "even",
                           False, dummy)
 
 
 def numerov_eigenvalue(params: PotentialParams, cfg: ShootingConfig) -> float:
-    """Bisect the shooting defect to zero inside the configured bracket."""
+    """Brent root of the shooting defect inside the configured bracket."""
     lo, hi = cfg.kappa_bracket
-    dlo = _defect(lo, params, cfg)
-    dhi = _defect(hi, params, cfg)
-    if math.copysign(1.0, dlo) == math.copysign(1.0, dhi):
+    ends = {lo: _defect(lo, params, cfg), hi: _defect(hi, params, cfg)}
+    if math.copysign(1.0, ends[lo]) == math.copysign(1.0, ends[hi]):
         raise BracketError(
             f"defect has equal signs at bracket {cfg.kappa_bracket}: "
-            f"{dlo:.3e}, {dhi:.3e}"
+            f"{ends[lo]:.3e}, {ends[hi]:.3e}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        dm = _defect(mid, params, cfg)
-        if dm == 0.0:
-            return mid
-        if math.copysign(1.0, dm) == math.copysign(1.0, dlo):
-            lo, dlo = mid, dm
-        else:
-            hi, dhi = mid, dm
-        if hi - lo <= 1e-11:
-            break
-    return 0.5 * (lo + hi)
+    # brentq evaluates both endpoints again; reuse the sweeps just made
+    return brentq(
+        lambda k: ends[k] if k in ends else _defect(k, params, cfg),
+        lo, hi, xtol=1e-12)
+
+
+def shooting_kappa(state: BoundState, params: PotentialParams) -> float | None:
+    """The state's kappa re-derived by Numerov shooting, with no Bessel call.
+
+    The bracket spans 1e-4 either side of the closed-form kappa, clamped
+    to stay above kappa/2.  Returns None for a state bound more weakly
+    than SHOOTING_KAPPA_MIN, which the oracle does not check.
+    """
+    if state.kappa < SHOOTING_KAPPA_MIN:
+        return None
+    cfg = ShootingConfig(
+        parity=state.parity,
+        kappa_bracket=(max(state.kappa - 1e-4, state.kappa / 2),
+                       state.kappa + 1e-4))
+    return numerov_eigenvalue(params, cfg)
 
 
 def numerov_wavefunction(kappa: float, params: PotentialParams,
@@ -157,7 +174,7 @@ def numerov_wavefunction(kappa: float, params: PotentialParams,
     Unnormalized; intended for node counting and norm cross-checks at a
     converged kappa.
     """
-    n = _grid_size(kappa, cfg.h, cfg.x_max)
+    n = _grid_size(kappa, params.g, cfg.h, cfg.x_max)
     if kappa * n * cfg.h > 600.0:
         raise ValueError("stored sweep would overflow; reduce x_max or kappa")
     out = np.empty(n + 1)

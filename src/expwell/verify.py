@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bound, crum, oracle, scatter
 from .bound import PotentialParams
+from .errors import ExpwellError
 from .quadrature import QuadratureSpec
 
 __all__ = ["CheckResult", "run_battery"]
@@ -71,7 +72,7 @@ def run_battery(g: float, max_pair_states: int = 8) -> list[CheckResult]:
         zeros = bound.order_zeros(params)
         out.append(_ok("interlacing_chain", True,
                        f"{len(zeros.lam)} even / {len(zeros.mu)} odd"))
-    except Exception as exc:  # InterlacingViolation
+    except ExpwellError as exc:  # InterlacingViolation
         out.append(_ok("interlacing_chain", False, str(exc)))
 
     q_resid = max(
@@ -105,23 +106,15 @@ def run_battery(g: float, max_pair_states: int = 8) -> list[CheckResult]:
     out.append(_le("orthonormality", worst, 1e-8,
                    f"first {len(head)} states"))
 
-    # oracle: eigenvalues; skip states so weakly bound that the shooting
-    # grid (x_max ~ 60/kappa at h = 1e-3) becomes astronomically long
-    checkable = [s for s in states if s.kappa >= 5e-3]
-    if checkable:
-        worst = 0.0
-        for s in checkable:
-            cfg = oracle.ShootingConfig(
-                parity=s.parity,
-                kappa_bracket=(max(s.kappa - 1e-4, s.kappa / 2),
-                               s.kappa + 1e-4))
-            worst = max(worst,
-                        abs(oracle.numerov_eigenvalue(params, cfg) - s.kappa))
-        out.append(_le("oracle_eigenvalue_gap", worst, 1e-7,
-                       f"{len(checkable)} of {count} states"))
+    # oracle: eigenvalues; states below oracle.SHOOTING_KAPPA_MIN are skipped
+    gaps = [abs(k - s.kappa) for s in states
+            if (k := oracle.shooting_kappa(s, params)) is not None]
+    if gaps:
+        out.append(_le("oracle_eigenvalue_gap", max(gaps), 1e-7,
+                       f"{len(gaps)} of {count} states"))
     else:
         out.append(_skip("oracle_eigenvalue_gap",
-                         "all states too weakly bound for the shooting grid"))
+                         "all states too weakly bound for the shooting check"))
 
     # scattering block
     ks = np.geomspace(0.05, 5.0, 12)
@@ -145,7 +138,7 @@ def run_battery(g: float, max_pair_states: int = 8) -> list[CheckResult]:
     try:
         scatter.find_poles(params, spectrum)
         out.append(_ok("pole_spectrum_bijection", True))
-    except Exception as exc:
+    except ExpwellError as exc:  # PoleMismatch
         out.append(_ok("pole_spectrum_bijection", False, str(exc)))
 
     # associated-system block

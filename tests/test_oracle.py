@@ -6,16 +6,22 @@ closed-form results."""
 
 import numpy as np
 import pytest
+from scipy import special
 
 from expwell import (
+    BoundState,
     PotentialParams,
     ShootingConfig,
     amplitudes,
+    find_spectrum,
     numerov_eigenvalue,
     numerov_wavefunction,
+    shooting_kappa,
     transmission_numeric,
 )
+from expwell import oracle
 from expwell.errors import BracketError
+from expwell.verify import run_battery
 
 
 def _bracket(kappa):
@@ -33,6 +39,49 @@ def test_numerov_full_spectrum_g5(spectrum_of):
     for st_ in s.states:
         cfg = ShootingConfig(parity=st_.parity, kappa_bracket=_bracket(st_.kappa))
         assert abs(numerov_eigenvalue(s.params, cfg) - st_.kappa) <= 1e-7, st_.m
+
+
+def test_numerov_sweeps_per_state_g5(spectrum_of, monkeypatch):
+    s = spectrum_of(5.0)
+    calls = []
+    sweep = oracle._defect
+
+    def counted(*args):
+        calls.append(args[0])
+        return sweep(*args)
+
+    monkeypatch.setattr(oracle, "_defect", counted)
+    for st_ in s.states:
+        calls.clear()
+        shooting_kappa(st_, s.params)
+        assert len(calls) <= 15, (st_.m, len(calls))
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["first_odd", "first_even"])
+def test_shooting_near_threshold(order):
+    # states appear where J_0 (odd) or J_1 (even) vanishes at 2g
+    g = float(special.jn_zeros(order, 1)[0]) / 2.0 * (1.0 + 1e-4)
+    params = PotentialParams(g)
+    weakest = min(find_spectrum(params).states, key=lambda st_: st_.kappa)
+    assert weakest.parity == ("odd" if order == 0 else "even")
+    assert weakest.kappa < 1e-3
+    kappa = shooting_kappa(weakest, params)
+    assert kappa is not None
+    assert abs(kappa - weakest.kappa) <= 1e-7
+
+
+def test_shooting_skips_below_floor():
+    st_ = BoundState(m=0, parity="even", kappa=oracle.SHOOTING_KAPPA_MIN / 2,
+                     energy=-(oracle.SHOOTING_KAPPA_MIN / 2) ** 2,
+                     order=oracle.SHOOTING_KAPPA_MIN)
+    assert shooting_kappa(st_, PotentialParams(1e-3)) is None
+
+
+def test_battery_checks_weakly_bound_ground_state():
+    (check,) = [c for c in run_battery(0.05) if c.name == "oracle_eigenvalue_gap"]
+    assert not check.skipped
+    assert check.passed
+    assert check.note == "1 of 1 states"
 
 
 def test_numerov_step_refinement_order(spectrum_of):
