@@ -1,7 +1,7 @@
 """Exact Bessel-function treatment of the 1D well V(x) = -g^2 exp(-|x|).
 
 Submodules:
-    specfun   complex gamma, Bessel J of real/complex order, validators
+    specfun   Bessel J of real/complex order, validators
     bound     bound-state spectra as order-zeros, eigenfunctions, overlaps
     scatter   reflection/transmission amplitudes, unitarity, pole matching
     crum      associated isospectral systems from eigenfunction Wronskians
@@ -13,7 +13,6 @@ from .bound import (
     BoundState,
     OrderZeros,
     PotentialParams,
-    QuadratureSpec,
     Spectrum,
     count_nodes,
     eigenfunction,
@@ -53,14 +52,7 @@ from .scatter import (
     find_poles,
     wronskian_identity_residual,
 )
-from .specfun import (
-    SeriesPolicy,
-    bessel_j,
-    bessel_j_dn,
-    bessel_y,
-    gamma_complex,
-    lommel_residual,
-)
+from .specfun import bessel_j, bessel_j_dn, lommel_residual
 
 __version__ = "0.1.0"
 
@@ -70,9 +62,7 @@ __all__ = [
     "OrderZeros",
     "PoleReport",
     "PotentialParams",
-    "QuadratureSpec",
     "ScatterPoint",
-    "SeriesPolicy",
     "ShootingConfig",
     "Spectrum",
     "amplitudes",
@@ -81,7 +71,6 @@ __all__ = [
     "associated_potential",
     "bessel_j",
     "bessel_j_dn",
-    "bessel_y",
     "build_crum_system",
     "count_nodes",
     "crum_wronskian_x",
@@ -90,7 +79,6 @@ __all__ = [
     "even_condition",
     "find_poles",
     "find_spectrum",
-    "gamma_complex",
     "inner_product",
     "lommel_residual",
     "normalize",

@@ -22,15 +22,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import specfun
-from .errors import InterlacingViolation, NoGroundState
-from .quadrature import QuadratureSpec, gauss_uniform, integrate_endpoint_power
+from .errors import InterlacingViolation, NoGroundState, NonFiniteValueError
+from .quadrature import gauss_uniform, tanh_sinh
 
 __all__ = [
     "PotentialParams",
     "BoundState",
     "Spectrum",
     "OrderZeros",
-    "QuadratureSpec",
     "rho",
     "even_condition",
     "odd_condition",
@@ -187,11 +186,12 @@ def find_spectrum(params: PotentialParams, tol: float = 1e-12) -> Spectrum:
     g = params.g
     x = params.x_arg
 
+    # the scan runs in nu = 2 kappa; halving nu is exact
     def even_f(nu: float) -> float:
-        return specfun.bessel_j(nu - 1.0, x) - (nu / x) * specfun.bessel_j(nu, x)
+        return even_condition(0.5 * nu, g)
 
     def odd_f(nu: float) -> float:
-        return specfun.bessel_j(nu, x)
+        return odd_condition(0.5 * nu, g)
 
     h0 = min(0.05, x / 200.0)
     found_even = False
@@ -281,8 +281,7 @@ def _leading_amplitude(order: float, g: float) -> float:
     return g ** order / math.gamma(1.0 + order)
 
 
-def inner_product(a: BoundState, b: BoundState, params: PotentialParams,
-                  quad: QuadratureSpec | None = None) -> float:
+def inner_product(a: BoundState, b: BoundState, params: PotentialParams) -> float:
     """Full-line overlap integral of two (unnormalized) eigenfunctions.
 
     Opposite parities vanish identically.  Equal parities reduce exactly,
@@ -292,7 +291,6 @@ def inner_product(a: BoundState, b: BoundState, params: PotentialParams,
     unbound and spreads over x ~ 1/kappa), so the integral is done in x
     with the exponential tail added in closed form.
     """
-    quad = quad or QuadratureSpec()
     if a.parity != b.parity:
         return 0.0
     g = params.g
@@ -301,7 +299,7 @@ def inner_product(a: BoundState, b: BoundState, params: PotentialParams,
         def f(r: float) -> float:
             return specfun.bessel_j(a.order, r) * specfun.bessel_j(b.order, r) / r
 
-        return 4.0 * integrate_endpoint_power(f, params.x_arg, quad)
+        return 4.0 * tanh_sinh(f, 0.0, params.x_arg)
 
     # weak-binding route: numeric part to x_c, then the pure-exponential tail
     x_c = 2.0 * (math.log(params.x_arg) + 34.0)
@@ -316,15 +314,19 @@ def inner_product(a: BoundState, b: BoundState, params: PotentialParams,
     return 2.0 * (body + tail)
 
 
-def normalize(spectrum: Spectrum, quad: QuadratureSpec | None = None) -> Spectrum:
+def normalize(spectrum: Spectrum) -> Spectrum:
     """Attach norm_const = 1/sqrt(<psi, psi>) to every state (positive sign,
-    so each normalized state decays to +0 as x -> +infinity)."""
-    quad = quad or QuadratureSpec()
+    so each normalized state decays to +0 as x -> +infinity).
+
+    Raises NonFiniteValueError when a norm integral is NaN, infinite or
+    not positive.
+    """
     states = []
     for s in spectrum.states:
-        nn = inner_product(s, s, spectrum.params, quad)
+        nn = inner_product(s, s, spectrum.params)
         if not (nn > 0.0 and math.isfinite(nn)):
-            raise ArithmeticError(f"non-positive norm integral for state {s.m}")
+            raise NonFiniteValueError(
+                f"norm integral {nn!r} of state {s.m} is not finite and positive")
         states.append(replace(s, norm_const=1.0 / math.sqrt(nn)))
     return Spectrum(params=spectrum.params, states=tuple(states))
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import specfun
 from .bound import PotentialParams, Spectrum, rho
 from .errors import NodeSingularity, UndefinedAtOrigin
-from .quadrature import QuadratureSpec, integrate_endpoint_power
+from .quadrature import tanh_sinh
 
 __all__ = [
     "CrumSystem",
@@ -147,37 +147,41 @@ def crum_wronskian_x(seeds, x: float, params: PotentialParams,
             return 1.0
         q = L * (L - 1) // 2
         r = rho(x, g)
-        wb = _wronskian_det_mp(orders, tuple(range(L)), r)
         sign = -1.0 if q % 2 else 1.0
-        return float(sign * mp.power(mp.mpf(r) / 2, q) * wb)
+        with specfun.MP_LOCK, mp.workdps(_det_dps(orders, r)):
+            wb = _wronskian_det_mp(orders, tuple(range(L)), r)
+            return float(sign * mp.power(mp.mpf(r) / 2, q) * wb)
 
     n = extra.m
     if n < L:
         raise ValueError(f"bordered state must satisfy n >= L, got n={n}, L={L}")
     full = orders + (extra.order,)
+    rows = tuple(range(L + 1))
     p = L * (L + 1) // 2
     const = -1.0 if (L * (L - 1) // 2 + n) % 2 else 1.0
     if x == 0.0:
         r = 2.0 * g
-        wb = _wronskian_det_mp(full, tuple(range(L + 1)), r)
-        if (L + n) % 2:
-            # odd combination: the one-sided limits are +-C g^p wb and the
-            # matching conditions force wb(2g) = 0; tolerate numerical noise
-            limit = abs(const * mp.power(mp.mpf(g), p) * wb)
-            scale = max(abs(_wronskian_det_mp(full, tuple(range(L + 1)),
-                                              r * (1.0 - 1e-3))), mp.mpf(1e-300))
-            if float(limit / scale) > 1e-9:
-                raise UndefinedAtOrigin(
-                    f"one-sided limits differ by {float(limit):.3e} at x=0"
-                )
-            return 0.0
-        # (L+n) even: s^(L+n) = +1 from either side
-        return float(const * mp.power(mp.mpf(g), p) * wb)
+        with specfun.MP_LOCK, mp.workdps(_det_dps(full, r)):
+            limit = const * mp.power(mp.mpf(g), p) * _wronskian_det_mp(full, rows, r)
+            if (L + n) % 2 == 0:
+                # s^(L+n) = +1 from either side
+                return float(limit)
+            # odd combination: the one-sided limits are +-limit and the
+            # matching conditions force W_B(2g) = 0; tolerate numerical noise
+            scale = max(abs(_wronskian_det_mp(full, rows, r * (1.0 - 1e-3))),
+                        mp.mpf(1e-300))
+            ratio = float(abs(limit) / scale)
+        if ratio > 1e-9:
+            raise UndefinedAtOrigin(
+                f"one-sided limits differ by {float(abs(limit)):.3e} at x=0"
+            )
+        return 0.0
     s = -1.0 if x > 0.0 else 1.0
     r = rho(x, g)
-    wb = _wronskian_det_mp(full, tuple(range(L + 1)), r)
     pref = const * s ** (L + n)
-    return float(pref * mp.power(mp.mpf(r) / 2, p) * wb)
+    with specfun.MP_LOCK, mp.workdps(_det_dps(full, r)):
+        wb = _wronskian_det_mp(full, rows, r)
+        return float(pref * mp.power(mp.mpf(r) / 2, p) * wb)
 
 
 def _potential_ratio_terms(orders: tuple[float, ...], r: float):
@@ -285,7 +289,6 @@ def associated_eigenfunction(L: int, n: int, params: PotentialParams,
 
 def associated_orthogonality_residuals(L: int, params: PotentialParams,
                                        spectrum: Spectrum,
-                                       quad: QuadratureSpec | None = None,
                                        pairs=None) -> dict:
     """Normalized overlap residuals of the level-L eigenfunctions.
 
@@ -298,7 +301,6 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
     |I_ab| / sqrt(I_aa I_bb).  L = 0 reduces to plain same-parity
     orthogonality of J(nu_m, rho) with weight 1/rho.
     """
-    quad = quad or QuadratureSpec()
     if spectrum.count < L + 2:
         raise ValueError(f"need at least L+2 = {L + 2} states")
     orders = tuple(s.order for s in spectrum.states[:L])
@@ -320,7 +322,7 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
                 val = wa * wb / (ws * ws) * mp.power(mp.mpf(r), 2 * L - 1)
                 return float(val)
 
-        return integrate_endpoint_power(f, x_arg, quad)
+        return tanh_sinh(f, 0.0, x_arg)
 
     indices = list(range(L, spectrum.count))
     if pairs is None:

@@ -5,17 +5,8 @@ class ExpwellError(Exception):
     """Base class for all library-specific errors."""
 
 
-class PoleError(ExpwellError):
-    """Gamma evaluated too close to a non-positive integer."""
-
-
 class ConvergenceError(ExpwellError):
     """A series or iteration hit its term cap before reaching tolerance."""
-
-
-class NearIntegerOrderError(ExpwellError):
-    """Bessel Y requested at an order too close to an integer for the
-    connection formula; callers must perturb the order and extrapolate."""
 
 
 class NonFiniteValueError(ExpwellError):

@@ -1,20 +1,20 @@
 """Adaptive quadrature for integrands with an integrable power endpoint.
 
-Two interchangeable schemes integrate f over (0, b] where f may behave
-like rho^(s-1), s > 0, at the lower endpoint:
+The overlap integrals of the package integrate f over (0, b] where f
+may behave like rho^(s-1), s > 0, at the lower endpoint.  They use
+tanh-sinh (double exponential), which clusters nodes toward the
+endpoints at double-exponential rate, so the power behavior needs no
+special casing; levels halve the mesh and reuse previous nodes.
 
-* tanh-sinh (double exponential): clusters nodes toward the endpoints
-  at double-exponential rate, so the power behavior needs no special
-  casing; levels halve the mesh and reuse previous nodes.
-* composite Gauss-Legendre with geometric endpoint split: fixed-order
-  panels on [b 2^-(j+1), b 2^-j], continued until panel contributions
-  are negligible.
+Composite Gauss-Legendre with a geometric endpoint split (fixed-order
+panels on [b 2^-(j+1), b 2^-j], continued until panel contributions are
+negligible) is kept as an independent reference that the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -23,28 +23,10 @@ import numpy as np
 from .errors import QuadratureNotConverged
 
 __all__ = [
-    "QuadratureSpec",
     "tanh_sinh",
     "gauss_geometric",
     "gauss_uniform",
-    "integrate_endpoint_power",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Scheme selection and tolerances for inner-product integrals."""
-
-    scheme: str = "tanh_sinh"  # or "gauss_legendre_composite"
-    abs_tol: float = 1e-11
-    max_levels: int = 12       # tanh-sinh refinements
-    max_panels: int = 4000     # geometric Gauss panels
-
-    def __post_init__(self):
-        if self.scheme not in ("tanh_sinh", "gauss_legendre_composite"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.abs_tol > 1e-10:
-            raise ValueError("abs_tol must be <= 1e-10")
 
 
 _T_CAP = 6.5  # |t| beyond which double-exponential weights underflow
@@ -161,11 +143,3 @@ def gauss_uniform(f: Callable[[float], float], a: float, b: float,
     n = max(8, int(math.ceil((b - a) / panel_width)))
     edges = np.linspace(a, b, n + 1)
     return sum(_gl_panel(f, lo, hi, order) for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def integrate_endpoint_power(f: Callable[[float], float], b: float,
-                             quad: QuadratureSpec) -> float:
-    """Integrate f over (0, b] with the configured scheme."""
-    if quad.scheme == "tanh_sinh":
-        return tanh_sinh(f, 0.0, b, quad.abs_tol, quad.max_levels)
-    return gauss_geometric(f, b, quad.abs_tol, quad.max_panels)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import specfun
-from .bound import PotentialParams, Spectrum, even_condition, odd_condition, _refine
+from .bound import (PotentialParams, Spectrum, _bracket_roots, _refine,
+                    even_condition, odd_condition)
 from .errors import DegenerateWronskian, PoleMismatch
 
 __all__ = [
@@ -58,10 +59,14 @@ class PoleReport:
     matched_state_indices: tuple[int, ...]  # aligned bound-state index m
 
 
+def _parts_dps(k: float, g: float) -> int:
+    return specfun.working_dps(2j * k, 2.0 * g) + 5
+
+
 def _wronskian_parts(k: float, g: float):
     """u = J(2ik, 2g), du = J'(2ik, 2g), their conjugates, and W (mpmath)."""
     x = 2.0 * g
-    with specfun.MP_LOCK, mp.workdps(specfun.working_dps(2j * k, x) + 5):
+    with specfun.MP_LOCK, mp.workdps(_parts_dps(k, g)):
         u = specfun.bessel_j_mp(2j * k, x)
         du = specfun.bessel_j_dn_mp(2j * k, x, 1)
         v = mp.conj(u)       # J(-2ik, 2g), exact by conjugation symmetry
@@ -79,20 +84,19 @@ def amplitudes(k: float, params: PotentialParams) -> ScatterPoint:
     if k <= 0.0:
         raise ValueError("momentum k must be positive")
     g = params.g
-    u, du, v, dv, w = _wronskian_parts(k, g)
-    if abs(w) < 1e-14:
-        raise DegenerateWronskian(f"|W| = {float(abs(w)):.3e} at k = {k}")
-    phase = mp.exp(mp.mpc(0.0, 4.0 * k) * mp.log(mp.mpf(g)))
-    a_amp = 2 * phase * dv * v / w
-    b_amp = -(du * v + dv * u) / w
-    r_amp = b_amp / a_amp
-    t_amp = 1 / a_amp
-
-    a_c, b_c = complex(a_amp), complex(b_amp)
-    r_c, t_c = complex(r_amp), complex(t_amp)
+    with specfun.MP_LOCK, mp.workdps(_parts_dps(k, g)):
+        u, du, v, dv, w = _wronskian_parts(k, g)
+        if abs(w) < 1e-14:
+            raise DegenerateWronskian(f"|W| = {float(abs(w)):.3e} at k = {k}")
+        phase = mp.exp(mp.mpc(0.0, 4.0 * k) * mp.log(mp.mpf(g)))
+        a_amp = 2 * phase * dv * v / w
+        b_amp = -(du * v + dv * u) / w
+        a_c, b_c = complex(a_amp), complex(b_amp)
+        r_c, t_c = complex(b_amp / a_amp), complex(1 / a_amp)
+        w_c = complex(w)
     unit = abs(abs(r_c) ** 2 + abs(t_c) ** 2 - 1.0)
     ortho = abs((r_c * t_c.conjugate()).real)
-    return ScatterPoint(k=k, A=a_c, B=b_c, r=r_c, t=t_c, W=complex(w),
+    return ScatterPoint(k=k, A=a_c, B=b_c, r=r_c, t=t_c, W=w_c,
                         unitarity_residual=unit, ortho_residual=ortho)
 
 
@@ -127,16 +131,7 @@ def find_poles(params: PotentialParams, spectrum: Spectrum) -> PoleReport:
     grid = [1e-9] + [i * h for i in range(1, int(math.floor(g / h)))]
     if grid[-1] < g * (1.0 - 1e-12):
         grid.append(g * (1.0 - 1e-12))
-
-    roots: list[float] = []
-    fprev = product(grid[0])
-    for i in range(1, len(grid)):
-        fcur = product(grid[i])
-        if fcur == 0.0:
-            roots.append(grid[i])
-        elif (fcur < 0.0) != (fprev < 0.0):
-            roots.append(_refine(product, grid[i - 1], grid[i], fprev, fcur, 1e-12))
-        fprev = fcur
+    roots = _bracket_roots(product, grid, 1e-12)
 
     # smallest bound state can sit below the scan floor at weak coupling
     known = sorted((s.kappa for s in spectrum.states), reverse=True)

@@ -1,8 +1,6 @@
 """Self-contained special-function kernels.
 
-Everything here reduces to two primitives: a Lanczos rational
-approximation for the complex gamma function, and the ascending power
-series
+Everything here reduces to one primitive, the ascending power series
 
     J(nu, x) = sum_m (-1)^m (x/2)^(nu+2m) / (m! Gamma(nu+m+1))
 
@@ -16,10 +14,8 @@ Results are returned as ordinary floats/complex.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
@@ -29,19 +25,10 @@ import mpmath as mp
 # interleave precision switches.
 MP_LOCK = threading.RLock()
 
-from .errors import (
-    ConvergenceError,
-    NearIntegerOrderError,
-    NonFiniteValueError,
-    PoleError,
-)
+from .errors import ConvergenceError, NonFiniteValueError
 
 __all__ = [
-    "SeriesPolicy",
-    "DEFAULT_POLICY",
-    "gamma_complex",
     "bessel_j",
-    "bessel_y",
     "bessel_j_dn",
     "lommel_residual",
     "bessel_j_mp",
@@ -49,89 +36,9 @@ __all__ = [
     "working_dps",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for the ascending Bessel series.
-
-    ``rel_tail_tol`` is the magnitude of the last added term relative to
-    the accumulated sum; ``None`` resolves to five digits below the
-    working precision.  The stop rule requires three consecutive terms
-    under tolerance, which guards against the alternating series pausing
-    near a zero crossing of the partial sums.
-    """
-
-    max_terms: int = 400
-    rel_tail_tol: float | None = None
-
-    def __post_init__(self):
-        if self.max_terms < 50:
-            raise ValueError("max_terms must be at least 50")
-        if self.rel_tail_tol is not None and self.rel_tail_tol > 1e-16:
-            raise ValueError("rel_tail_tol must be <= 1e-16")
-
-
-DEFAULT_POLICY = SeriesPolicy()
-
-# ---------------------------------------------------------------------------
-# gamma
-
-
-# Lanczos coefficients, g = 607/128, 15 terms; ~1e-14 relative accuracy
-# across the moderate complex domain used here.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _nearest_nonpositive_integer_distance(z: complex) -> float:
-    n = round(z.real)
-    if n > 0:
-        return math.inf
-    return abs(z - n)
-
-
-def gamma_complex(z: complex) -> complex:
-    """Complex gamma via Lanczos approximation, reflection for Re z < 1/2.
-
-    Raises PoleError when z lies within 1e-12 of a non-positive integer.
-    """
-    z = complex(z)
-    if _nearest_nonpositive_integer_distance(z) <= 1e-12:
-        raise PoleError(f"gamma pole at or near z = {z}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        val = math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    else:
-        w = z - 1.0
-        acc = _LANCZOS_C[0]
-        for i, c in enumerate(_LANCZOS_C[1:], start=1):
-            acc += c / (w + i)
-        t = w + _LANCZOS_G + 0.5
-        val = _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * acc
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise NonFiniteValueError(f"gamma_complex({z}) is not finite")
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Bessel J, ascending series in extended precision
+# Term cap of the ascending series; real order needs about 120 terms at
+# x = 50 and about 320 at x = 160.
+_MAX_TERMS = 400
 
 
 def working_dps(nu: complex, x: float) -> int:
@@ -154,16 +61,17 @@ def _is_negative_integer(nu: complex) -> int | None:
 
 
 @lru_cache(maxsize=200_000)
-def _series_cached(nu_re: float, nu_im: float, x: float,
-                   max_terms: int, tail_tol: float):
+def _series_cached(nu_re: float, nu_im: float, x: float):
     """Ascending series at the working precision for (nu, x).
 
     Returns an mpf/mpc.  Terms follow the recurrence
     t_{m} = -t_{m-1} * (x/2)^2 / (m (nu+m)), t_0 = (x/2)^nu / Gamma(nu+1).
+    Summation stops after three consecutive terms below 10^-(dps+5) of
+    the running sum, which guards against the alternating series pausing
+    near a zero crossing of the partial sums.
     """
     dps = working_dps(complex(nu_re, nu_im), x)
-    if tail_tol <= 0.0:
-        tail_tol = 10.0 ** (-(dps + 5))
+    tail_tol = 10.0 ** (-(dps + 5))
     with MP_LOCK, mp.workdps(dps):
         if nu_im == 0.0:
             nu = mp.mpf(nu_re)
@@ -174,7 +82,7 @@ def _series_cached(nu_re: float, nu_im: float, x: float,
         term = mp.power(half, nu) / mp.gamma(nu + 1)
         total = term
         small_run = 0
-        for m in range(1, max_terms + 1):
+        for m in range(1, _MAX_TERMS + 1):
             term = -term * q / (m * (nu + m))
             total += term
             if abs(term) <= tail_tol * abs(total):
@@ -185,11 +93,11 @@ def _series_cached(nu_re: float, nu_im: float, x: float,
                 small_run = 0
     raise ConvergenceError(
         f"Bessel series for nu={complex(nu_re, nu_im)}, x={x} "
-        f"did not converge within {max_terms} terms"
+        f"did not converge within {_MAX_TERMS} terms"
     )
 
 
-def bessel_j_mp(nu: complex, x: float, policy: SeriesPolicy | None = None):
+def bessel_j_mp(nu: complex, x: float):
     """Bessel J of the first kind as an mpmath value.
 
     Orders with negative imaginary part are evaluated at the conjugate
@@ -198,19 +106,14 @@ def bessel_j_mp(nu: complex, x: float, policy: SeriesPolicy | None = None):
     """
     if x <= 0.0 or not math.isfinite(x):
         raise ValueError(f"argument must be positive and finite, got {x}")
-    policy = policy or DEFAULT_POLICY
     nu = complex(nu)
     n = _is_negative_integer(nu)
     if n is not None:
-        val = _series_cached(float(-n), 0.0, float(x),
-                             policy.max_terms, policy.rel_tail_tol or 0.0)
+        val = _series_cached(float(-n), 0.0, float(x))
         return -val if n % 2 else +val
     if nu.imag < 0.0:
-        val = _series_cached(nu.real, -nu.imag, float(x),
-                             policy.max_terms, policy.rel_tail_tol or 0.0)
-        return mp.conj(val)
-    return _series_cached(nu.real, nu.imag, float(x),
-                          policy.max_terms, policy.rel_tail_tol or 0.0)
+        return mp.conj(_series_cached(nu.real, -nu.imag, float(x)))
+    return _series_cached(nu.real, nu.imag, float(x))
 
 
 def _to_py(val, want_complex: bool):
@@ -231,17 +134,16 @@ def _order_is_complex(nu) -> bool:
     return isinstance(nu, complex) and nu.imag != 0.0
 
 
-def bessel_j(nu, x: float, policy: SeriesPolicy | None = None):
+def bessel_j(nu, x: float):
     """J(nu, x) for real or complex order, real x > 0.
 
     Returns float for real order, complex otherwise.
     """
-    val = bessel_j_mp(nu, x, policy)
+    val = bessel_j_mp(nu, x)
     return _to_py(val, _order_is_complex(nu))
 
 
-def bessel_j_dn_mp(nu: complex, x: float, n: int,
-                   policy: SeriesPolicy | None = None):
+def bessel_j_dn_mp(nu: complex, x: float, n: int):
     """n-th argument-derivative of J as an mpmath value.
 
     Uses the closed reduction obtained by iterating
@@ -252,43 +154,22 @@ def bessel_j_dn_mp(nu: complex, x: float, n: int,
     if not 0 <= n <= 12:
         raise ValueError(f"derivative order must be in [0, 12], got {n}")
     if n == 0:
-        return bessel_j_mp(nu, x, policy)
+        return bessel_j_mp(nu, x)
     nu = complex(nu)
     total = mp.mpf(0)
     for k in range(n + 1):
-        contrib = math.comb(n, k) * bessel_j_mp(nu - n + 2 * k, x, policy)
+        contrib = math.comb(n, k) * bessel_j_mp(nu - n + 2 * k, x)
         total = total - contrib if k % 2 else total + contrib
     return total / mp.mpf(2 ** n)
 
 
-def bessel_j_dn(nu, x: float, n: int, policy: SeriesPolicy | None = None):
+def bessel_j_dn(nu, x: float, n: int):
     """n-th derivative of J with respect to its argument; see bessel_j_dn_mp."""
-    val = bessel_j_dn_mp(nu, x, n, policy)
+    val = bessel_j_dn_mp(nu, x, n)
     return _to_py(val, _order_is_complex(nu))
 
 
-def bessel_y(nu: float, x: float, policy: SeriesPolicy | None = None) -> float:
-    """Bessel Y of real non-integer order via the connection formula
-
-        Y(nu, x) = (J(nu, x) cos(nu pi) - J(-nu, x)) / sin(nu pi).
-
-    Orders within 1e-6 of an integer raise NearIntegerOrderError; such
-    callers perturb the order and extrapolate instead.
-    """
-    nu = float(nu)
-    if abs(nu - round(nu)) <= 1e-6:
-        raise NearIntegerOrderError(
-            f"order {nu} too close to an integer for the connection formula"
-        )
-    with MP_LOCK, mp.workdps(working_dps(complex(nu), x) + 5):
-        jp = bessel_j_mp(nu, x, policy)
-        jm = bessel_j_mp(-nu, x, policy)
-        nupi = mp.pi * mp.mpf(nu)
-        val = (jp * mp.cos(nupi) - jm) / mp.sin(nupi)
-        return _to_py(val, False)
-
-
-def lommel_residual(nu, x: float, policy: SeriesPolicy | None = None) -> float:
+def lommel_residual(nu, x: float) -> float:
     """Deviation from the cross-product identity
 
         J(nu,x) J'(-nu,x) - J'(nu,x) J(-nu,x) = -2 sin(nu pi) / (pi x).
@@ -297,10 +178,10 @@ def lommel_residual(nu, x: float, policy: SeriesPolicy | None = None) -> float:
     """
     nu = complex(nu)
     with MP_LOCK, mp.workdps(working_dps(nu, x) + 5):
-        jp = bessel_j_mp(nu, x, policy)
-        jm = bessel_j_mp(-nu, x, policy)
-        djp = bessel_j_dn_mp(nu, x, 1, policy)
-        djm = bessel_j_dn_mp(-nu, x, 1, policy)
+        jp = bessel_j_mp(nu, x)
+        jm = bessel_j_mp(-nu, x)
+        djp = bessel_j_dn_mp(nu, x, 1)
+        djm = bessel_j_dn_mp(-nu, x, 1)
         nupi = mp.pi * mp.mpc(nu) if nu.imag else mp.pi * mp.mpf(nu.real)
         resid = jp * djm - djp * jm + 2 * mp.sin(nupi) / (mp.pi * mp.mpf(x))
         return float(abs(resid))

@@ -2,9 +2,11 @@
 and byte-level determinism."""
 
 import json
+import math
 
 import jsonschema
 
+from expwell import bound
 from expwell.cli import main
 
 try:
@@ -52,6 +54,14 @@ def test_spectrum_negative_g_usage_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--g", "-1")
     assert code == 2
     assert "positive" in err
+
+
+def test_spectrum_nonfinite_norm_is_numerical_error(capsys, monkeypatch):
+    monkeypatch.setattr(bound, "inner_product", lambda *args: math.nan)
+    code, out, err = run_cli(capsys, "spectrum", "--g", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "norm" in err
 
 
 def test_unknown_command_usage_error(capsys):

@@ -6,12 +6,12 @@ eigenfunctions themselves (x side) and of the Bessel kernels (rho side),
 and eigenfunction claims are checked through the eigen-equation residual
 with the potential built by the determinant route."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from expwell import (
     PotentialParams,
-    QuadratureSpec,
     associated_eigenfunction,
     associated_orthogonality_residuals,
     associated_potential,
@@ -28,8 +28,10 @@ from expwell import (
     v1_closed_form,
     wronskian_bessel,
 )
+from expwell import crum
 from expwell.crum import fit_exponential_family
 from expwell.errors import UndefinedAtOrigin
+from expwell.quadrature import gauss_geometric
 
 
 def test_wronskian_single_order_is_j():
@@ -129,6 +131,17 @@ def test_seed_wronskian_is_even(spectrum_of):
         vp = crum_wronskian_x(s.states[:L], 1.1, p)
         vm = crum_wronskian_x(s.states[:L], -1.1, p)
         assert vm == pytest.approx(vp, rel=1e-12)
+
+
+def test_crum_wronskian_independent_of_caller_precision(spectrum_of):
+    s = spectrum_of(5.0)
+    p = PotentialParams(5.0)
+    cases = [(s.states[:3], 1.3, None), (s.states[:3], 1.3, s.states[3]),
+             (s.states[:1], 0.0, s.states[1])]
+    ref = [crum_wronskian_x(seeds, x, p, extra=e) for seeds, x, e in cases]
+    with mp.workdps(60):
+        got = [crum_wronskian_x(seeds, x, p, extra=e) for seeds, x, e in cases]
+    assert got == ref
 
 
 def test_potential_closed_form_vs_determinant(spectrum_of):
@@ -235,14 +248,14 @@ def test_orthogonality_reduces_to_base_at_L0(spectrum_of):
     assert max(res.values()) <= 1e-8
 
 
-def test_orthogonality_dual_scheme_cross_check(spectrum_of):
+def test_orthogonality_dual_scheme_cross_check(spectrum_of, monkeypatch):
     s = spectrum_of(5.0)
     p = PotentialParams(5.0)
     pair = [(1, 3)]
-    r1 = associated_orthogonality_residuals(
-        1, p, s, QuadratureSpec(scheme="tanh_sinh"), pairs=pair)
-    r2 = associated_orthogonality_residuals(
-        1, p, s, QuadratureSpec(scheme="gauss_legendre_composite"), pairs=pair)
+    r1 = associated_orthogonality_residuals(1, p, s, pairs=pair)
+    monkeypatch.setattr(crum, "tanh_sinh",
+                        lambda f, lo, hi: gauss_geometric(f, hi))
+    r2 = associated_orthogonality_residuals(1, p, s, pairs=pair)
     assert abs(r1[(1, 3)] - r2[(1, 3)]) <= 1e-8
 
 

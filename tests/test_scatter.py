@@ -85,6 +85,15 @@ def test_conjugated_inputs_conjugate_the_amplitudes():
     assert abs(complex(1 / a_sw) - complex(1 / a).conjugate()) <= 1e-12
 
 
+def test_amplitudes_independent_of_caller_precision():
+    # all mpmath arithmetic runs at the module's own working precision
+    p = PotentialParams(3.0)
+    for k in (0.3, 1.3, 4.0):
+        ref = amplitudes(k, p)
+        with mp.workdps(60):
+            assert amplitudes(k, p) == ref
+
+
 def test_weak_coupling_transparent():
     pt = amplitudes(1.0, PotentialParams(1e-4))
     assert abs(pt.t) ** 2 >= 1.0 - 1e-6

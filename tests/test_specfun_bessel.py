@@ -1,5 +1,5 @@
 """Bessel kernels: closed forms, independent series oracles, recurrences,
-derivative reduction, Y connection formula, and the cross-product identity."""
+derivative reduction, and the cross-product identity."""
 
 import math
 from fractions import Fraction
@@ -8,15 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expwell import SeriesPolicy, bessel_j, bessel_j_dn, bessel_y, lommel_residual
-from expwell.errors import ConvergenceError, NearIntegerOrderError
+from expwell import bessel_j, bessel_j_dn, lommel_residual, specfun
+from expwell.errors import ConvergenceError
 
 # sum_{m<200} (-1)^m / (m!)^2 at x = 2, in exact rational arithmetic
 J0_AT_2 = 0.2238907791412356680518  # frozen from the Fraction oracle
-
-# connection-formula oracle at 50 digits with an independent term-by-term
-# series (no recurrence), frozen
-Y_03_AT_15 = 0.1257309185329462757548
 
 
 def _j0_at_2_rational() -> float:
@@ -50,16 +46,11 @@ def test_j0_at_2_against_rational_oracle():
     assert bessel_j(0.0, 2.0) == pytest.approx(J0_AT_2, rel=1e-14)
 
 
-def test_convergence_error_when_term_cap_too_small():
+def test_convergence_error_when_term_cap_too_small(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
+    specfun._series_cached.cache_clear()
     with pytest.raises(ConvergenceError):
-        bessel_j(0.0, 40.0, policy=SeriesPolicy(max_terms=50))
-
-
-def test_series_policy_validation():
-    with pytest.raises(ValueError):
-        SeriesPolicy(max_terms=10)
-    with pytest.raises(ValueError):
-        SeriesPolicy(rel_tail_tol=1e-12)
+        bessel_j(0.0, 40.0)
 
 
 def test_argument_validation():
@@ -99,31 +90,6 @@ def test_conjugation_symmetry_bit_exact(tau, x):
     val = bessel_j(2j * tau, x)
     conj_val = bessel_j(-2j * tau, x)
     assert conj_val == val.conjugate()
-
-
-def test_bessel_y_half_integer_closed_form():
-    for x in (1.0, 2.0):
-        expected = -math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
-        assert bessel_y(0.5, x) == pytest.approx(expected, rel=1e-13)
-
-
-def test_bessel_y_cross_product_with_j():
-    # J Y' - J' Y = 2/(pi x) at (nu, x) = (0.7, 2.0)
-    nu, x = 0.7, 2.0
-    yp = (bessel_j_dn(nu, x, 1) * math.cos(nu * math.pi)
-          - bessel_j_dn(-nu, x, 1)) / math.sin(nu * math.pi)
-    lhs = bessel_j(nu, x) * yp - bessel_j_dn(nu, x, 1) * bessel_y(nu, x)
-    assert lhs == pytest.approx(2.0 / (math.pi * x), rel=1e-12)
-
-
-def test_bessel_y_frozen_connection_value():
-    assert bessel_y(0.3, 1.5) == pytest.approx(Y_03_AT_15, rel=1e-13)
-
-
-@pytest.mark.parametrize("nu", [1.0, 2.0, 3.0 + 1e-9, -1.0 + 1e-8])
-def test_bessel_y_near_integer_rejected(nu):
-    with pytest.raises(NearIntegerOrderError):
-        bessel_y(nu, 1.5)
 
 
 def test_derivative_order_zero_is_identity():
