@@ -4,12 +4,15 @@ Everything here reduces to one primitive, the ascending power series
 
     J(nu, x) = sum_m (-1)^m (x/2)^(nu+2m) / (m! Gamma(nu+m+1))
 
-evaluated for real or complex order nu and real argument x > 0.  The
-series is summed in extended working precision (mpmath) because its
+evaluated for real or complex order nu and real argument x > 0.  Its
 alternating terms cancel down from a peak of order e^x; in plain double
 arithmetic the result would lose roughly 0.43*x digits, which is not
-acceptable at the argument sizes this library needs (x up to ~50).
-Results are returned as ordinary floats/complex.
+acceptable at the argument sizes this library needs (x up to ~50).  So
+J = (x/2)^nu / Gamma(nu+1) * S is split: the normalised series S, which
+carries all of the cancellation, is summed in Python-int fixed point
+from nu and x taken as exact rationals, and the prefactor, which has
+none, is computed in mpmath at the working precision.  Results are
+returned as ordinary floats/complex.
 """
 
 from __future__ import annotations
@@ -60,41 +63,96 @@ def _is_negative_integer(nu: complex) -> int | None:
     return None
 
 
+def _not_converged(nu: complex, x: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"Bessel series for nu={nu}, x={x} "
+        f"did not converge within {_MAX_TERMS} terms"
+    )
+
+
+def _sum_real(nu: float, x: float, dps: int, bits: int) -> int:
+    """Normalised series S for real order, times 2^bits, as an int."""
+    a, b = nu.as_integer_ratio()
+    c, d = x.as_integer_ratio()
+    # q / (m (nu + m)) = num / (den m (a + m b))
+    num, den = c * c * b, 4 * d * d
+    term = total = 1 << bits
+    scale = 10 ** (dps + 5)
+    small_run = 0
+    for m in range(1, _MAX_TERMS + 1):
+        term = -(term * num // (den * m * (a + m * b)))
+        total += term
+        if abs(term) * scale <= abs(total):
+            small_run += 1
+            if small_run >= 3:
+                return total
+        else:
+            small_run = 0
+    raise _not_converged(complex(nu), x)
+
+
+def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
+                 bits: int) -> tuple[int, int]:
+    """Real and imaginary parts of S for complex order, times 2^bits."""
+    a, b_re = nu_re.as_integer_ratio()
+    c, b_im = nu_im.as_integer_ratio()
+    # both denominators are powers of two: the larger is a common one
+    b = max(b_re, b_im)
+    a, c = a * (b // b_re), c * (b // b_im)
+    p, d = x.as_integer_ratio()
+    num, den = p * p * b, 4 * d * d
+    t_re = s_re = 1 << bits
+    t_im = s_im = 0
+    scale2 = 10 ** (2 * (dps + 5))
+    small_run = 0
+    for m in range(1, _MAX_TERMS + 1):
+        # t / (u + i c) = t (u - i c) / (u^2 + c^2)
+        u = a + m * b
+        div = den * m * (u * u + c * c)
+        t_re, t_im = (-((t_re * u + t_im * c) * num // div),
+                      -((t_im * u - t_re * c) * num // div))
+        s_re += t_re
+        s_im += t_im
+        if (t_re * t_re + t_im * t_im) * scale2 <= s_re * s_re + s_im * s_im:
+            small_run += 1
+            if small_run >= 3:
+                return s_re, s_im
+        else:
+            small_run = 0
+    raise _not_converged(complex(nu_re, nu_im), x)
+
+
 @lru_cache(maxsize=200_000)
 def _series_cached(nu_re: float, nu_im: float, x: float):
-    """Ascending series at the working precision for (nu, x).
+    """J(nu, x) at the working precision, as an mpf/mpc.
 
-    Returns an mpf/mpc.  Terms follow the recurrence
-    t_{m} = -t_{m-1} * (x/2)^2 / (m (nu+m)), t_0 = (x/2)^nu / Gamma(nu+1).
-    Summation stops after three consecutive terms below 10^-(dps+5) of
-    the running sum, which guards against the alternating series pausing
-    near a zero crossing of the partial sums.
+    J = (x/2)^nu / Gamma(nu+1) * S with the normalised series
+    S = sum_m (-q)^m / (m! (nu+1)_m), q = (x/2)^2.  All of the
+    cancellation is in S, so S is summed in Python-int fixed point with
+    about 3.33*dps + 20 bits and t_0 = 1, from nu and x taken as exact
+    rationals: t_m = -t_{m-1} q / (m (nu+m)) is one integer multiply and
+    one floor division.  Summation stops after three consecutive terms
+    with |t| <= 10^-(dps+5) |S|, which guards against the alternating
+    series pausing near a zero crossing of the partial sums.
+
+    The prefactor has no cancellation, and an error that scales the
+    whole value cannot move a zero; it is computed in mpmath at the
+    working precision, the only step that takes MP_LOCK.
     """
     dps = working_dps(complex(nu_re, nu_im), x)
-    tail_tol = 10.0 ** (-(dps + 5))
+    bits = int(3.33 * dps) + 20
+    if nu_im == 0.0:
+        s_re = _sum_real(nu_re, x, dps, bits)
+    else:
+        s_re, s_im = _sum_complex(nu_re, nu_im, x, dps, bits)
     with MP_LOCK, mp.workdps(dps):
         if nu_im == 0.0:
             nu = mp.mpf(nu_re)
+            s = mp.mpf((s_re, -bits))
         else:
             nu = mp.mpc(nu_re, nu_im)
-        half = mp.mpf(x) / 2
-        q = half * half
-        term = mp.power(half, nu) / mp.gamma(nu + 1)
-        total = term
-        small_run = 0
-        for m in range(1, _MAX_TERMS + 1):
-            term = -term * q / (m * (nu + m))
-            total += term
-            if abs(term) <= tail_tol * abs(total):
-                small_run += 1
-                if small_run >= 3:
-                    return +total
-            else:
-                small_run = 0
-    raise ConvergenceError(
-        f"Bessel series for nu={complex(nu_re, nu_im)}, x={x} "
-        f"did not converge within {_MAX_TERMS} terms"
-    )
+            s = mp.mpc(mp.mpf((s_re, -bits)), mp.mpf((s_im, -bits)))
+        return mp.power(mp.mpf(x) / 2, nu) / mp.gamma(nu + 1) * s
 
 
 def bessel_j_mp(nu: complex, x: float):

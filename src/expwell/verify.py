@@ -15,11 +15,15 @@ import numpy as np
 from . import bound, crum, oracle, scatter
 from .bound import PotentialParams
 from .errors import ExpwellError
+from .specfun import bessel_j, lommel_residual
 
 __all__ = ["CheckResult", "run_battery"]
 
 # orthonormality is checked over the lowest states only, for speed
 _MAX_PAIR_STATES = 8
+
+# imaginary orders 2ik of the kernel's Lommel check
+_LOMMEL_KS = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,15 @@ def _gt(name: str, value: float, threshold: float, note: str = "") -> CheckResul
 
 def _ok(name: str, passed: bool, note: str = "") -> CheckResult:
     return CheckResult(name, None, None, "bool", passed, note)
+
+
+def _cross_product_size(nu, x: float) -> float:
+    """Summed magnitude of the four products that J_nu J'_-nu - J'_nu J_-nu
+    expands into, with J'_mu = (J_{mu-1} - J_{mu+1})/2."""
+    plus = [abs(bessel_j(nu + s, x)) for s in (-1, 0, 1)]
+    minus = [abs(bessel_j(-nu + s, x)) for s in (-1, 0, 1)]
+    return (plus[1] * (minus[0] + minus[2])
+            + minus[1] * (plus[0] + plus[2])) / 2
 
 
 def run_battery(g: float) -> list[CheckResult]:
@@ -83,6 +96,23 @@ def run_battery(g: float) -> list[CheckResult]:
         for s in states
     )
     out.append(_le("quantization_residual", q_resid, 1e-10))
+
+    # Kernel check: the cross product J_nu J'_-nu - J'_nu J_-nu against its
+    # closed form -2 sin(nu pi)/(pi x), relative to the size of the four
+    # products it expands into (the closed form vanishes near integer nu,
+    # the products do not).  Each J holds the working precision, at least
+    # 25 digits, and a correct kernel reads at most 2e-27 for g = 0.001-25;
+    # the bound leaves room for that and fails a J off in its 16th digit.
+    # State orders are rounded to multiples of 2^-40 so that nu -+ 1 are
+    # exact doubles: rounded shifts alone read up to 1e-16/nu.
+    x_arg = params.x_arg
+    lommel = 0.0
+    for nu in ([round(s.order * 2.0 ** 40) / 2.0 ** 40 for s in states]
+               + [2j * k for k in _LOMMEL_KS]):
+        lommel = max(lommel, lommel_residual(nu, x_arg)
+                     / _cross_product_size(nu, x_arg))
+    out.append(_le("kernel_lommel_residual", lommel, 1e-20,
+                   f"orders of {count} states, 2ik for k in {_LOMMEL_KS}"))
 
     out.append(_ok("node_counts",
                    all(bound.count_nodes(s, params) == s.m for s in states)))

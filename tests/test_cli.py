@@ -3,10 +3,12 @@ and byte-level determinism."""
 
 import json
 import math
+import sys
+import threading
 
 import jsonschema
 
-from expwell import bound
+from expwell import bound, crum, specfun
 from expwell.cli import main
 
 try:
@@ -138,6 +140,51 @@ def test_output_determinism(tmp_path, capsys):
     assert main(["scatter", "--g", "2", "--kmin", "0.2", "--kmax", "3",
                  "--n", "7", "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_THREADED_RUNS = {
+    "spectrum.json": ["spectrum", "--g", "7.3"],
+    "scatter.json": ["scatter", "--g", "11.5", "--kmin", "0.05",
+                     "--kmax", "6", "--n", "12"],
+    "crum.json": ["crum", "--g", "4.7", "--L", "2"],
+}
+
+
+def _clear_kernel_caches():
+    specfun._series_cached.cache_clear()
+    crum._wronskian_det_mp.cache_clear()
+
+
+def test_output_determinism_under_threads(tmp_path, capsys):
+    # the series is summed outside MP_LOCK; reports written from threads
+    # that start on cold kernel caches must match a sequential run
+    codes = {}
+
+    def run(argv, out):
+        codes[out] = main(argv + ["--out", str(out)])
+
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    seq.mkdir()
+    par.mkdir()
+    _clear_kernel_caches()
+    for name, argv in _THREADED_RUNS.items():
+        run(argv, seq / name)
+    _clear_kernel_caches()
+    threads = [threading.Thread(target=run, args=(argv, par / name))
+               for name, argv in _THREADED_RUNS.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(codes.values()) == [0] * 2 * len(_THREADED_RUNS)
+    for name in _THREADED_RUNS:
+        assert (par / name).read_bytes() == (seq / name).read_bytes(), name
 
 
 def test_float_serialization_round_trips(capsys):

@@ -1,4 +1,5 @@
-"""Every name a module exports in ``__all__`` exists on it."""
+"""Every name a module exports in ``__all__`` exists on it, and the kernel
+caches keep the interface the benchmark worker reads."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ import pkgutil
 import pytest
 
 import expwell
+from expwell import crum, specfun
 
 MODULES = ["expwell"] + [
     f"expwell.{info.name}" for info in pkgutil.iter_modules(expwell.__path__)
@@ -18,3 +20,14 @@ def test_all_names_resolve(modname):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("cached", [specfun._series_cached,
+                                    crum._wronskian_det_mp])
+def test_kernel_caches_keep_lru_interface(cached):
+    # perfbench/worker.py refuses to start unless both caches are empty and
+    # reads its per-layer miss counts from cache_info()
+    cached.cache_clear()
+    info = cached.cache_info()
+    assert info.currsize == 0
+    assert info.hits == info.misses == 0

@@ -4,12 +4,14 @@ derivative reduction, and the cross-product identity."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expwell import bessel_j, bessel_j_dn, lommel_residual, specfun
+from expwell import bessel_j, bessel_j_dn, crum, lommel_residual, specfun
 from expwell.errors import ConvergenceError
+from expwell.verify import run_battery
 
 # sum_{m<200} (-1)^m / (m!)^2 at x = 2, in exact rational arithmetic
 J0_AT_2 = 0.2238907791412356680518  # frozen from the Fraction oracle
@@ -49,8 +51,34 @@ def test_j0_at_2_against_rational_oracle():
 def test_convergence_error_when_term_cap_too_small(monkeypatch):
     monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
     specfun._series_cached.cache_clear()
-    with pytest.raises(ConvergenceError):
-        bessel_j(0.0, 40.0)
+    for nu in (0.0, 2j * 0.7):  # real and complex orders sum separately
+        with pytest.raises(ConvergenceError):
+            bessel_j(nu, 40.0)
+
+
+_ROUTE_XS = (1e-3, 0.5, 2.0, 10.0, 24.0, 40.0, 80.0)
+
+
+def _route_orders(x):
+    # the negative real orders are shifted orders nu - n + 2k of the kind
+    # bessel_j_dn_mp evaluates for the Crum hierarchy
+    real = [-3.9999999, -3.3, -2.5, -1.0000001, -0.7, 0.0, 0.3, 1.0, 2.7,
+            x / 2, 0.97 * x, x + 3.1]
+    imag = [1j * tau + shift for tau in (0.002, 0.7, 5.0, 20.0)
+            for shift in (0.0, 1.0, -1.0)]
+    return real + imag
+
+
+@pytest.mark.parametrize("x", _ROUTE_XS)
+def test_bessel_j_against_mpmath_hypergeometric_route(x):
+    # mpmath.besselj sums a hypergeometric series of its own, not ours
+    worst = 0.0
+    for nu in _route_orders(x):
+        with mp.workdps(60):
+            ref = complex(mp.besselj(nu, x))
+        val = bessel_j(nu, x)
+        worst = max(worst, abs(val - ref) / abs(ref))
+    assert worst <= 1e-15
 
 
 def test_argument_validation():
@@ -136,6 +164,34 @@ def test_lommel_residual_grid():
         for x in (0.5, 2.0, 8.0):
             worst = max(worst, lommel_residual(nu, x))
     assert worst <= 1e-11
+
+
+def _lommel_row(g):
+    (row,) = [c for c in run_battery(g) if c.name == "kernel_lommel_residual"]
+    return row
+
+
+def test_battery_kernel_lommel_row_passes():
+    row = _lommel_row(2.1)
+    assert row.passed and row.value <= 1e-24
+
+
+def test_battery_kernel_lommel_row_fails_on_perturbed_kernel(monkeypatch):
+    exact = specfun._series_cached
+
+    def perturbed(nu_re, nu_im, x):
+        val = exact(nu_re, nu_im, x)
+        return val * (1 + 1e-9) if nu_re < 0.0 else val
+
+    monkeypatch.setattr(specfun, "_series_cached", perturbed)
+    crum._wronskian_det_mp.cache_clear()
+    try:
+        row = _lommel_row(2.1)
+    finally:
+        # determinants built from perturbed values must not outlive the test
+        crum._wronskian_det_mp.cache_clear()
+    assert not row.passed
+    assert row.value >= 1e-10
 
 
 def test_real_order_returns_float_complex_order_returns_complex():
