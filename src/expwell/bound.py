@@ -108,14 +108,24 @@ def potential(x: float, params: PotentialParams) -> float:
 
 
 def even_condition(kappa: float, g: float) -> float:
-    """J(2k-1, 2g) - (k/g) J(2k, 2g), equal to J'(2k, 2g) by recurrence."""
-    x = 2.0 * g
-    return specfun.bessel_j(2.0 * kappa - 1.0, x) - (kappa / g) * specfun.bessel_j(2.0 * kappa, x)
+    """J'(2k, 2g), the argument derivative; zero exactly at even-state
+    eigenvalues."""
+    return specfun.bessel_j_dn(2.0 * kappa, 2.0 * g, 1)
 
 
 def odd_condition(kappa: float, g: float) -> float:
-    """J(2k, 2g); zero exactly at odd-state eigenvalues."""
-    return specfun.bessel_j(2.0 * kappa, 2.0 * g)
+    """J(2k, 2g); zero exactly at odd-state eigenvalues.  It reads the
+    same series entry as even_condition at that kappa."""
+    return specfun.bessel_j_dn(2.0 * kappa, 2.0 * g, 0)
+
+
+def _condition_residual(states: Sequence[BoundState], g: float) -> float:
+    """Largest |quantization condition| of each state's own parity."""
+    return max(
+        abs(even_condition(s.kappa, g)) if s.parity == "even"
+        else abs(odd_condition(s.kappa, g))
+        for s in states
+    )
 
 
 # ---------------------------------------------------------------------------

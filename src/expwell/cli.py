@@ -92,11 +92,7 @@ def cmd_spectrum(args) -> int:
             if kappa is not None:
                 oracle_delta[s.m] = abs(kappa - s.kappa)
 
-    cond = max(
-        abs(bound.even_condition(s.kappa, params.g)) if s.parity == "even"
-        else abs(bound.odd_condition(s.kappa, params.g))
-        for s in spectrum.states
-    )
+    cond = bound._condition_residual(spectrum.states, params.g)
     passed = cond <= max(args.tol, 1e-10)
     if args.verify and oracle_delta:
         passed = passed and max(oracle_delta.values()) <= 1e-7

@@ -19,10 +19,11 @@ continuous across x = 0: whenever L+n is odd the boundary conditions at
 rho = 2g force the bordered Bessel Wronskian to vanish there.
 
 Derivatives of determinants are taken analytically (raise the last row;
-the second derivative adds the two single-row-raised terms), with every
-Bessel derivative coming from the closed binomial reduction.  Ratios are
-formed in extended precision because the row scales span rho^(nu - i),
-far outside double range near the endpoint.
+the second derivative adds the two single-row-raised terms).  Every
+column takes J and J' from one series entry and the higher rows from
+Bessel's equation.  Ratios are formed in extended precision because the
+row scales span rho^(nu - i), far outside double range near the
+endpoint.
 """
 
 from __future__ import annotations
@@ -241,9 +242,13 @@ def v1_closed_form(params: PotentialParams, spectrum: Spectrum,
     r = rho(x, params.g)
     nu0 = s0.order
     with specfun.MP_LOCK, mp.workdps(specfun.working_dps(complex(nu0), r) + 5):
-        j = specfun.bessel_j_mp(nu0, r)
-        dj = specfun.bessel_j_dn_mp(nu0, r, 1)
         rm = mp.mpf(r)
+        j = specfun.bessel_j_mp(nu0, r)
+        # J' by the order recurrence J_{nu-1} - (nu/rho) J_nu, not from the
+        # series entry: with J'' from Bessel's equation the determinant
+        # route reduces to this formula algebraically, so the check that
+        # compares the two needs a second route to J'.
+        dj = specfun.bessel_j_mp(nu0 - 1.0, r) - mp.mpf(nu0) / rm * j
         val = rm * rm / 4 - mp.mpf(nu0) ** 2 / 2 + rm * rm / 2 * (dj / j) ** 2
         return float(val)
 

@@ -67,7 +67,8 @@ def _wronskian_parts(k: float, g: float):
     """u = J(2ik, 2g), du = J'(2ik, 2g), their conjugates, and W (mpmath)."""
     x = 2.0 * g
     with specfun.MP_LOCK, mp.workdps(_parts_dps(k, g)):
-        u = specfun.bessel_j_mp(2j * k, x)
+        # J and J' of one series entry
+        u = specfun.bessel_j_dn_mp(2j * k, x, 0)
         du = specfun.bessel_j_dn_mp(2j * k, x, 1)
         v = mp.conj(u)       # J(-2ik, 2g), exact by conjugation symmetry
         dv = mp.conj(du)

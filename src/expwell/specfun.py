@@ -11,13 +11,15 @@ acceptable at the argument sizes this library needs (x up to ~50).  So
 J = (x/2)^nu / Gamma(nu+1) * S is split: the normalised series S, which
 carries all of the cancellation, is summed in Python-int fixed point
 from nu and x taken as exact rationals, and the prefactor, which has
-none, is computed in mpmath at the working precision.  Results are
-returned as ordinary floats/complex.
+none, is computed in mpmath at the working precision.  The argument
+derivative J' comes from the same sum, and higher derivatives from
+Bessel's equation.  Results are returned as ordinary floats/complex.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from functools import lru_cache
 
@@ -70,30 +72,36 @@ def _not_converged(nu: complex, x: float) -> ConvergenceError:
     )
 
 
-def _sum_real(nu: float, x: float, dps: int, bits: int) -> int:
-    """Normalised series S for real order, times 2^bits, as an int."""
+def _sum_real(nu: float, x: float, dps: int, bits: int,
+              weighted: bool) -> tuple[int, int]:
+    """Normalised series S for real order and, when weighted, the sum of
+    m t_m (else 0), both times 2^bits, as ints."""
     a, b = nu.as_integer_ratio()
     c, d = x.as_integer_ratio()
     # q / (m (nu + m)) = num / (den m (a + m b))
     num, den = c * c * b, 4 * d * d
     term = total = 1 << bits
+    mtotal = 0
     scale = 10 ** (dps + 5)
     small_run = 0
     for m in range(1, _MAX_TERMS + 1):
         term = -(term * num // (den * m * (a + m * b)))
         total += term
+        if weighted:
+            mtotal += m * term
         if abs(term) * scale <= abs(total):
             small_run += 1
             if small_run >= 3:
-                return total
+                return total, mtotal
         else:
             small_run = 0
     raise _not_converged(complex(nu), x)
 
 
 def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
-                 bits: int) -> tuple[int, int]:
-    """Real and imaginary parts of S for complex order, times 2^bits."""
+                 bits: int, weighted: bool):
+    """S and the sum of m t_m for complex order, as (re, im) int pairs
+    times 2^bits; the weighted pair is (0, 0) unless asked for."""
     a, b_re = nu_re.as_integer_ratio()
     c, b_im = nu_im.as_integer_ratio()
     # both denominators are powers of two: the larger is a common one
@@ -103,6 +111,7 @@ def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
     num, den = p * p * b, 4 * d * d
     t_re = s_re = 1 << bits
     t_im = s_im = 0
+    w_re = w_im = 0
     scale2 = 10 ** (2 * (dps + 5))
     small_run = 0
     for m in range(1, _MAX_TERMS + 1):
@@ -113,27 +122,44 @@ def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
                       -((t_im * u - t_re * c) * num // div))
         s_re += t_re
         s_im += t_im
+        if weighted:
+            w_re += m * t_re
+            w_im += m * t_im
         if (t_re * t_re + t_im * t_im) * scale2 <= s_re * s_re + s_im * s_im:
             small_run += 1
             if small_run >= 3:
-                return s_re, s_im
+                return (s_re, s_im), (w_re, w_im)
         else:
             small_run = 0
     raise _not_converged(complex(nu_re, nu_im), x)
 
 
-@lru_cache(maxsize=200_000)
-def _series_cached(nu_re: float, nu_im: float, x: float):
-    """J(nu, x) at the working precision, as an mpf/mpc.
+def _fixed_to_mp(v, bits: int):
+    """An int (real) or an (re, im) int pair, times 2^-bits, in mpmath."""
+    if isinstance(v, tuple):
+        return mp.mpc(mp.mpf((v[0], -bits)), mp.mpf((v[1], -bits)))
+    return mp.mpf((v, -bits))
 
-    J = (x/2)^nu / Gamma(nu+1) * S with the normalised series
-    S = sum_m (-q)^m / (m! (nu+1)_m), q = (x/2)^2.  All of the
-    cancellation is in S, so S is summed in Python-int fixed point with
-    about 3.33*dps + 20 bits and t_0 = 1, from nu and x taken as exact
-    rationals: t_m = -t_{m-1} q / (m (nu+m)) is one integer multiply and
-    one floor division.  Summation stops after three consecutive terms
-    with |t| <= 10^-(dps+5) |S|, which guards against the alternating
-    series pausing near a zero crossing of the partial sums.
+
+@lru_cache(maxsize=200_000)
+def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
+    """J(nu, x) for n = 0, the pair (J, J') for n = 1, at the working
+    precision, as mpf/mpc.
+
+    J = P S with the prefactor P = (x/2)^nu / Gamma(nu+1) and the
+    normalised series S = sum_m t_m, t_m = (-q)^m / (m! (nu+1)_m),
+    q = (x/2)^2.  All of the cancellation is in S, so S is summed in
+    Python-int fixed point with about 3.33*dps + 20 bits and t_0 = 1,
+    from nu and x taken as exact rationals: t_m = -t_{m-1} q / (m (nu+m))
+    is one integer multiply and one floor division.  Summation stops
+    after three consecutive terms with |t| <= 10^-(dps+5) |S|, which
+    guards against the alternating series pausing near a zero crossing
+    of the partial sums.
+
+    Since t_m goes as x^(2m) and P as x^nu, the argument derivative is
+    J' = (P/x) (nu S + 2 sum_m m t_m); for n = 1 the weighted sum is
+    accumulated in the same loop, so J and J' share one sum and one
+    prefactor.  n = 0 skips it: J-only callers pay nothing for J'.
 
     The prefactor has no cancellation, and an error that scales the
     whole value cannot move a zero; it is computed in mpmath at the
@@ -142,17 +168,39 @@ def _series_cached(nu_re: float, nu_im: float, x: float):
     dps = working_dps(complex(nu_re, nu_im), x)
     bits = int(3.33 * dps) + 20
     if nu_im == 0.0:
-        s_re = _sum_real(nu_re, x, dps, bits)
+        s_fix, w_fix = _sum_real(nu_re, x, dps, bits, n == 1)
     else:
-        s_re, s_im = _sum_complex(nu_re, nu_im, x, dps, bits)
+        s_fix, w_fix = _sum_complex(nu_re, nu_im, x, dps, bits, n == 1)
     with MP_LOCK, mp.workdps(dps):
-        if nu_im == 0.0:
-            nu = mp.mpf(nu_re)
-            s = mp.mpf((s_re, -bits))
-        else:
-            nu = mp.mpc(nu_re, nu_im)
-            s = mp.mpc(mp.mpf((s_re, -bits)), mp.mpf((s_im, -bits)))
-        return mp.power(mp.mpf(x) / 2, nu) / mp.gamma(nu + 1) * s
+        nu = mp.mpf(nu_re) if nu_im == 0.0 else mp.mpc(nu_re, nu_im)
+        s = _fixed_to_mp(s_fix, bits)
+        pref = mp.power(mp.mpf(x) / 2, nu) / mp.gamma(nu + 1)
+        j = pref * s
+        if n == 0:
+            return j
+        return j, pref * (nu * s + 2 * _fixed_to_mp(w_fix, bits)) / x
+
+
+def _entry(nu: complex, x: float, n: int) -> tuple:
+    """(J,) for n = 0 and (J, J') for n = 1 as mpmath values, with the
+    conjugation and negative-integer reductions of bessel_j_mp applied
+    to both."""
+    if x <= 0.0 or not math.isfinite(x):
+        raise ValueError(f"argument must be positive and finite, got {x}")
+    nu = complex(nu)
+    k = _is_negative_integer(nu)
+    if k is not None:
+        vals = _series_cached(float(-k), 0.0, float(x), n)
+        fix = operator.neg if k % 2 else operator.pos
+    elif nu.imag < 0.0:
+        vals = _series_cached(nu.real, -nu.imag, float(x), n)
+        fix = mp.conj
+    else:
+        vals = _series_cached(nu.real, nu.imag, float(x), n)
+        fix = None
+    if n == 0:
+        vals = (vals,)
+    return vals if fix is None else tuple(fix(v) for v in vals)
 
 
 def bessel_j_mp(nu: complex, x: float):
@@ -162,16 +210,7 @@ def bessel_j_mp(nu: complex, x: float):
     order and conjugated back, so J(conj nu, x) == conj(J(nu, x)) holds
     bit-for-bit.  Negative integer orders reduce to J(-n) = (-1)^n J(n).
     """
-    if x <= 0.0 or not math.isfinite(x):
-        raise ValueError(f"argument must be positive and finite, got {x}")
-    nu = complex(nu)
-    n = _is_negative_integer(nu)
-    if n is not None:
-        val = _series_cached(float(-n), 0.0, float(x))
-        return -val if n % 2 else +val
-    if nu.imag < 0.0:
-        return mp.conj(_series_cached(nu.real, -nu.imag, float(x)))
-    return _series_cached(nu.real, nu.imag, float(x))
+    return _entry(nu, x, 0)[0]
 
 
 def _to_py(val, want_complex: bool):
@@ -204,21 +243,33 @@ def bessel_j(nu, x: float):
 def bessel_j_dn_mp(nu: complex, x: float, n: int):
     """n-th argument-derivative of J as an mpmath value.
 
-    Uses the closed reduction obtained by iterating
-    Z' = (Z_{nu-1} - Z_{nu+1})/2:
+    J and J' are read off one series entry.  Higher derivatives follow
+    from Bessel's equation differentiated k times,
 
-        d^n/dx^n J_nu = 2^{-n} sum_k (-1)^k C(n,k) J_{nu-n+2k}(x)
+        x^2 y^(k+2) = -[(2k+1) x y^(k+1) + (x^2 + k^2 - nu^2) y^(k)
+                        + 2k x y^(k-1) + k(k-1) y^(k-2)],
+
+    run at ten digits above the working precision of (nu, x), whatever
+    precision the caller has set.
     """
     if not 0 <= n <= 12:
         raise ValueError(f"derivative order must be in [0, 12], got {n}")
-    if n == 0:
-        return bessel_j_mp(nu, x)
+    ys = list(_entry(nu, x, 1))
+    if n <= 1:
+        return ys[n]
     nu = complex(nu)
-    total = mp.mpf(0)
-    for k in range(n + 1):
-        contrib = math.comb(n, k) * bessel_j_mp(nu - n + 2 * k, x)
-        total = total - contrib if k % 2 else total + contrib
-    return total / mp.mpf(2 ** n)
+    with MP_LOCK, mp.workdps(working_dps(nu, x) + 10):
+        xm = mp.mpf(x)
+        x2 = xm * xm
+        nu2 = (mp.mpc(nu) if nu.imag else mp.mpf(nu.real)) ** 2
+        for k in range(n - 1):
+            acc = (2 * k + 1) * xm * ys[k + 1] + (x2 + k * k - nu2) * ys[k]
+            if k >= 1:
+                acc += 2 * k * xm * ys[k - 1]
+            if k >= 2:
+                acc += k * (k - 1) * ys[k - 2]
+            ys.append(-acc / x2)
+    return ys[n]
 
 
 def bessel_j_dn(nu, x: float, n: int):
@@ -236,10 +287,8 @@ def lommel_residual(nu, x: float) -> float:
     """
     nu = complex(nu)
     with MP_LOCK, mp.workdps(working_dps(nu, x) + 5):
-        jp = bessel_j_mp(nu, x)
-        jm = bessel_j_mp(-nu, x)
-        djp = bessel_j_dn_mp(nu, x, 1)
-        djm = bessel_j_dn_mp(-nu, x, 1)
+        jp, djp = _entry(nu, x, 1)
+        jm, djm = _entry(-nu, x, 1)
         nupi = mp.pi * mp.mpc(nu) if nu.imag else mp.pi * mp.mpf(nu.real)
         resid = jp * djm - djp * jm + 2 * mp.sin(nupi) / (mp.pi * mp.mpf(x))
         return float(abs(resid))

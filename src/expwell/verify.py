@@ -15,7 +15,7 @@ import numpy as np
 from . import bound, crum, oracle, scatter
 from .bound import PotentialParams
 from .errors import ExpwellError
-from .specfun import bessel_j, lommel_residual
+from .specfun import bessel_j_dn, lommel_residual
 
 __all__ = ["CheckResult", "run_battery"]
 
@@ -57,12 +57,10 @@ def _ok(name: str, passed: bool, note: str = "") -> CheckResult:
 
 
 def _cross_product_size(nu, x: float) -> float:
-    """Summed magnitude of the four products that J_nu J'_-nu - J'_nu J_-nu
-    expands into, with J'_mu = (J_{mu-1} - J_{mu+1})/2."""
-    plus = [abs(bessel_j(nu + s, x)) for s in (-1, 0, 1)]
-    minus = [abs(bessel_j(-nu + s, x)) for s in (-1, 0, 1)]
-    return (plus[1] * (minus[0] + minus[2])
-            + minus[1] * (plus[0] + plus[2])) / 2
+    """|J_nu J'_-nu| + |J'_nu J_-nu|, the size of the two products whose
+    difference lommel_residual compares with its closed form."""
+    return (abs(bessel_j_dn(nu, x, 0) * bessel_j_dn(-nu, x, 1))
+            + abs(bessel_j_dn(nu, x, 1) * bessel_j_dn(-nu, x, 0)))
 
 
 def run_battery(g: float) -> list[CheckResult]:
@@ -90,25 +88,19 @@ def run_battery(g: float) -> list[CheckResult]:
     except ExpwellError as exc:  # InterlacingViolation
         out.append(_ok("interlacing_chain", False, str(exc)))
 
-    q_resid = max(
-        abs(bound.even_condition(s.kappa, g)) if s.parity == "even"
-        else abs(bound.odd_condition(s.kappa, g))
-        for s in states
-    )
-    out.append(_le("quantization_residual", q_resid, 1e-10))
+    out.append(_le("quantization_residual",
+                   bound._condition_residual(states, g), 1e-10))
 
     # Kernel check: the cross product J_nu J'_-nu - J'_nu J_-nu against its
-    # closed form -2 sin(nu pi)/(pi x), relative to the size of the four
-    # products it expands into (the closed form vanishes near integer nu,
-    # the products do not).  Each J holds the working precision, at least
-    # 25 digits, and a correct kernel reads at most 2e-27 for g = 0.001-25;
-    # the bound leaves room for that and fails a J off in its 16th digit.
-    # State orders are rounded to multiples of 2^-40 so that nu -+ 1 are
-    # exact doubles: rounded shifts alone read up to 1e-16/nu.
+    # closed form -2 sin(nu pi)/(pi x), relative to the size of its two
+    # products (the closed form vanishes near integer nu, the products do
+    # not).  Each J and J' holds the working precision, at least 25
+    # digits, and a correct kernel reads at most 3.1e-26 for g = 0.001-25
+    # (largest next to integer nu); the bound leaves room for that and
+    # fails a J or J' off in its 16th digit.
     x_arg = params.x_arg
     lommel = 0.0
-    for nu in ([round(s.order * 2.0 ** 40) / 2.0 ** 40 for s in states]
-               + [2j * k for k in _LOMMEL_KS]):
+    for nu in [s.order for s in states] + [2j * k for k in _LOMMEL_KS]:
         lommel = max(lommel, lommel_residual(nu, x_arg)
                      / _cross_product_size(nu, x_arg))
     out.append(_le("kernel_lommel_residual", lommel, 1e-20,

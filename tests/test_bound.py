@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from expwell import (
     PotentialParams,
     ShootingConfig,
-    bessel_j_dn,
+    bessel_j,
     count_nodes,
     eigenfunction,
     even_condition,
@@ -62,9 +62,11 @@ def test_params_validation():
 
 
 def test_even_condition_is_derivative():
+    # against the order recurrence J'_nu = J_{nu-1} - (nu/x) J_nu
     kappa, g = 0.8, 1.0
     assert even_condition(kappa, g) == pytest.approx(
-        bessel_j_dn(2.0 * kappa, 2.0 * g, 1), abs=1e-12)
+        bessel_j(2.0 * kappa - 1.0, 2.0 * g)
+        - (kappa / g) * bessel_j(2.0 * kappa, 2.0 * g), abs=1e-12)
 
 
 def test_even_condition_sign_bracket_at_g1():

@@ -28,10 +28,11 @@ from expwell import (
     v1_closed_form,
     wronskian_bessel,
 )
-from expwell import crum
+from expwell import crum, specfun
 from expwell.crum import fit_exponential_family
 from expwell.errors import UndefinedAtOrigin
 from expwell.quadrature import gauss_geometric
+from expwell.verify import run_battery
 
 
 def test_wronskian_single_order_is_j():
@@ -150,6 +151,27 @@ def test_potential_closed_form_vs_determinant(spectrum_of):
     for x in (0.4, 1.0, 2.5, 6.0):
         assert abs(associated_potential(1, p, s, x)
                    - v1_closed_form(p, s, x)) <= 1e-9
+
+
+def test_battery_crum_gap_fails_on_perturbed_derivative(monkeypatch):
+    # the determinant route takes J' from the series entry, the closed form
+    # from the order recurrence: a J' off by 1e-9 must show in the gap
+    exact = specfun._series_cached
+
+    def perturbed(nu_re, nu_im, x, n):
+        val = exact(nu_re, nu_im, x, n)
+        return (val[0], val[1] * (1 + 1e-9)) if n == 1 else val
+
+    monkeypatch.setattr(specfun, "_series_cached", perturbed)
+    crum._wronskian_det_mp.cache_clear()
+    try:
+        (row,) = [c for c in run_battery(2.1)
+                  if c.name == "crum_potential_closed_form_gap"]
+    finally:
+        # determinants built from perturbed values must not outlive the test
+        crum._wronskian_det_mp.cache_clear()
+    assert not row.passed
+    assert row.value >= 2e-9
 
 
 def test_potential_parity(spectrum_of):

@@ -60,10 +60,12 @@ _ROUTE_XS = (1e-3, 0.5, 2.0, 10.0, 24.0, 40.0, 80.0)
 
 
 def _route_orders(x):
-    # the negative real orders are shifted orders nu - n + 2k of the kind
-    # bessel_j_dn_mp evaluates for the Crum hierarchy
-    real = [-3.9999999, -3.3, -2.5, -1.0000001, -0.7, 0.0, 0.3, 1.0, 2.7,
-            x / 2, 0.97 * x, x + 3.1]
+    # negative real orders next to and away from integers, where the
+    # normalised series' (nu+1)_m nearly vanishes; 0.00498 is the g = 0.05
+    # ground state, where J' of an order formed as nu -+ 1 in double
+    # loses digits
+    real = [-3.9999999, -3.3, -2.5, -1.0000001, -0.7, 0.0, 0.00498, 0.3,
+            1.0, 2.7, x / 2, 0.97 * x, x + 3.1]
     imag = [1j * tau + shift for tau in (0.002, 0.7, 5.0, 20.0)
             for shift in (0.0, 1.0, -1.0)]
     return real + imag
@@ -71,13 +73,15 @@ def _route_orders(x):
 
 @pytest.mark.parametrize("x", _ROUTE_XS)
 def test_bessel_j_against_mpmath_hypergeometric_route(x):
-    # mpmath.besselj sums a hypergeometric series of its own, not ours
+    # mpmath.besselj sums a hypergeometric series of its own, not ours;
+    # n = 1 is the kernel's weighted sum, n >= 2 Bessel's equation
     worst = 0.0
-    for nu in _route_orders(x):
-        with mp.workdps(60):
-            ref = complex(mp.besselj(nu, x))
-        val = bessel_j(nu, x)
-        worst = max(worst, abs(val - ref) / abs(ref))
+    for n in range(4):
+        for nu in _route_orders(x):
+            with mp.workdps(60):
+                ref = complex(mp.besselj(nu, x, n))
+            val = bessel_j(nu, x) if n == 0 else bessel_j_dn(nu, x, n)
+            worst = max(worst, abs(val - ref) / abs(ref))
     assert worst <= 1e-15
 
 
@@ -179,9 +183,12 @@ def test_battery_kernel_lommel_row_passes():
 def test_battery_kernel_lommel_row_fails_on_perturbed_kernel(monkeypatch):
     exact = specfun._series_cached
 
-    def perturbed(nu_re, nu_im, x):
-        val = exact(nu_re, nu_im, x)
-        return val * (1 + 1e-9) if nu_re < 0.0 else val
+    def perturbed(nu_re, nu_im, x, n):
+        val = exact(nu_re, nu_im, x, n)
+        if nu_re >= 0.0:
+            return val
+        # J, or J and J', of negative orders
+        return val * (1 + 1e-9) if n == 0 else tuple(v * (1 + 1e-9) for v in val)
 
     monkeypatch.setattr(specfun, "_series_cached", perturbed)
     crum._wronskian_det_mp.cache_clear()
