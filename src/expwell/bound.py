@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import specfun
 from .errors import InterlacingViolation, NoGroundState, NonFiniteValueError
-from .quadrature import gauss_uniform, tanh_sinh
+from .quadrature import tanh_sinh
 
 __all__ = [
     "PotentialParams",
@@ -318,7 +318,7 @@ def inner_product(a: BoundState, b: BoundState, params: PotentialParams) -> floa
         r = rho(x, g)
         return specfun.bessel_j(a.order, r) * specfun.bessel_j(b.order, r)
 
-    body = gauss_uniform(fx, 0.0, x_c, panel_width=0.5)
+    body = tanh_sinh(fx, 0.0, x_c)
     tail = (_leading_amplitude(a.order, g) * _leading_amplitude(b.order, g)
             * 2.0 / s * math.exp(-0.5 * s * x_c))
     return 2.0 * (body + tail)

@@ -341,8 +341,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.g is not None and args.g <= 0:
-            raise ValueError(f"coupling g must be positive, got {args.g}")
         if getattr(args, "L", 1) < 1 and args.command == "crum":
             raise ValueError("level L must be >= 1")
         return args.func(args)

@@ -55,6 +55,13 @@ __all__ = [
     "build_crum_system",
 ]
 
+_EIGEN_XS = (0.35, 0.6, 1.0, 1.6, 2.4, 3.5, 5.0)  # clear of the origin kink
+_EIGEN_STEP = 2e-3
+_ORIGIN_EPS = 1e-4
+# where a potential is fitted to the family -f^2 e^(-|x|) + c
+FIT_GRID = np.linspace(0.0, 10.0, 201)
+FIT_GRID.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class CrumSystem:
@@ -344,19 +351,17 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
 
 
 def eigen_equation_residual(L: int, n: int, params: PotentialParams,
-                            spectrum: Spectrum, xs=None,
-                            h: float = 2e-3) -> float:
+                            spectrum: Spectrum) -> float:
     """max |(-psi'' + V^[L] psi - E_n psi)| / max|psi| on sample points.
 
     The second derivative is a fourth-order central difference, so the
     samples must stay away from the origin kink.
     """
-    if xs is None:
-        xs = (0.35, 0.6, 1.0, 1.6, 2.4, 3.5, 5.0)
+    h = _EIGEN_STEP
     e_n = spectrum.states[n].energy
     worst = 0.0
     scale = 0.0
-    for x in xs:
+    for x in _EIGEN_XS:
         p = [associated_eigenfunction(L, n, params, spectrum, x + j * h)
              for j in (-2, -1, 0, 1, 2)]
         d2 = (-p[0] + 16 * p[1] - 30 * p[2] + 16 * p[3] - p[4]) / (12 * h * h)
@@ -367,7 +372,7 @@ def eigen_equation_residual(L: int, n: int, params: PotentialParams,
 
 
 def origin_continuity_residual(L: int, n: int, params: PotentialParams,
-                               spectrum: Spectrum, eps: float = 1e-4) -> float:
+                               spectrum: Spectrum) -> float:
     """Mismatch of one-sided values and slopes of psi_n^[L] at x = 0.
 
     One-sided slopes use third-order stencils so the extrapolation error
@@ -376,6 +381,7 @@ def origin_continuity_residual(L: int, n: int, params: PotentialParams,
     def psi(x: float) -> float:
         return associated_eigenfunction(L, n, params, spectrum, x)
 
+    eps = _ORIGIN_EPS
     vals = {j: psi(j * eps) for j in (-3, -2, -1, 0, 1, 2, 3)}
     vscale = max(abs(v) for v in vals.values()) or 1.0
     value_gap = abs(vals[1] - vals[-1]) if (L + n) % 2 == 0 else abs(vals[0])
@@ -410,15 +416,13 @@ def fit_exponential_family(xs: np.ndarray, vals: np.ndarray):
     return f_sq, c, float(np.sqrt(np.mean(resid ** 2))) / denom
 
 
-def shape_invariance_residual(params: PotentialParams, spectrum: Spectrum,
-                              fit_grid: np.ndarray | None = None) -> float:
+def shape_invariance_residual(params: PotentialParams,
+                              spectrum: Spectrum) -> float:
     """Relative rms misfit of V^[1] against the original two-parameter
     family; a value above 1e-3 certifies the family is not reproduced."""
-    if fit_grid is None:
-        fit_grid = np.linspace(0.0, 10.0, 201)
     v1 = np.array([associated_potential(1, params, spectrum, float(x))
-                   for x in fit_grid])
-    *_, rel = fit_exponential_family(fit_grid, v1)
+                   for x in FIT_GRID])
+    *_, rel = fit_exponential_family(FIT_GRID, v1)
     return rel
 
 

@@ -39,6 +39,9 @@ __all__ = [
 # this the gate is over a fifth of kappa and would pass a visibly wrong one
 SHOOTING_KAPPA_MIN = 5e-7
 
+# cutoff of the scattering integration, where g^2 e^(-x) has fallen by e^40
+TRANSMISSION_X_MAX = 40.0
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
@@ -46,7 +49,6 @@ class ShootingConfig:
 
     parity: str
     kappa_bracket: tuple[float, float]
-    x_max: float | None = None     # default max(40, ln(g^2/kappa^2) + 40)
     h: float = 1e-3
 
     def __post_init__(self):
@@ -112,7 +114,7 @@ def _numerov_sweep(kappa: float, g: float, h: float, n: int, even: bool,
     return p1 / norm
 
 
-def _grid_size(kappa: float, g: float, h: float, x_max: float | None) -> int:
+def _grid_size(kappa: float, g: float, h: float) -> int:
     """Steps from the cutoff to the origin.
 
     The inward start e^(-kappa x) solves the free equation, so at the
@@ -120,17 +122,16 @@ def _grid_size(kappa: float, g: float, h: float, x_max: float | None) -> int:
     V(x_max)/kappa^2 = g^2 e^(-x_max)/kappa^2.  Integrating inward damps
     that admixture only by e^(-2 kappa x_max), which is close to 1 for a
     weakly bound state, so a cutoff scaled with 1/kappa buys nothing
-    there.  The default cutoff instead ends the grid where the potential
-    is negligible, g^2 e^(-x_max)/kappa^2 = e^(-40), which bounds the
+    there.  The cutoff instead ends the grid where the potential is
+    negligible, g^2 e^(-x_max)/kappa^2 = e^(-40), which bounds the
     admixture directly, and never before x = 40.
     """
-    if x_max is None:
-        x_max = max(40.0, math.log(g * g / (kappa * kappa)) + 40.0)
+    x_max = max(40.0, math.log(g * g / (kappa * kappa)) + 40.0)
     return int(math.ceil(x_max / h))
 
 
 def _defect(kappa: float, params: PotentialParams, cfg: ShootingConfig) -> float:
-    n = _grid_size(kappa, params.g, cfg.h, cfg.x_max)
+    n = _grid_size(kappa, params.g, cfg.h)
     dummy = np.empty(0)
     return _numerov_sweep(kappa, params.g, cfg.h, n, cfg.parity == "even",
                           False, dummy)
@@ -174,27 +175,25 @@ def numerov_wavefunction(kappa: float, params: PotentialParams,
     Unnormalized; intended for node counting and norm cross-checks at a
     converged kappa.
     """
-    n = _grid_size(kappa, params.g, cfg.h, cfg.x_max)
+    n = _grid_size(kappa, params.g, cfg.h)
     if kappa * n * cfg.h > 600.0:
-        raise ValueError("stored sweep would overflow; reduce x_max or kappa")
+        raise ValueError("stored sweep would overflow; reduce kappa")
     out = np.empty(n + 1)
     _numerov_sweep(kappa, params.g, cfg.h, n, cfg.parity == "even", True, out)
     xs = cfg.h * np.arange(n + 1)
     return xs, out[::-1].copy()
 
 
-def transmission_numeric(k: float, params: PotentialParams,
-                         x_max: float = 40.0):
+def transmission_numeric(k: float, params: PotentialParams):
     """Reflection and transmission amplitudes from direct integration.
 
-    Starts from psi = e^(ikx) at +x_max, integrates to -x_max, and
-    projects onto e^(+-ikx) there; returns (r, t).
+    Starts from psi = e^(ikx) at +TRANSMISSION_X_MAX, integrates to
+    -TRANSMISSION_X_MAX, and projects onto e^(+-ikx) there; returns (r, t).
     """
     if k <= 0.0:
         raise ValueError("momentum k must be positive")
-    if x_max < 40.0:
-        raise ValueError("x_max must be at least 40")
     g = params.g
+    x_max = TRANSMISSION_X_MAX
 
     def rhs(x, y):
         coeff = -g * g * math.exp(-abs(x)) - k * k

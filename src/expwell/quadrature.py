@@ -25,11 +25,12 @@ from .errors import QuadratureNotConverged
 __all__ = [
     "tanh_sinh",
     "gauss_geometric",
-    "gauss_uniform",
 ]
 
 
 _T_CAP = 6.5  # |t| beyond which double-exponential weights underflow
+ABS_TOL = 1e-11
+MAX_LEVELS = 12
 
 
 def _de_node(t: float, a: float, b: float):
@@ -48,17 +49,16 @@ def _de_node(t: float, a: float, b: float):
     return x, w
 
 
-def tanh_sinh(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = 1e-11, max_levels: int = 12) -> float:
+def tanh_sinh(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate f on [a, b]; converged when successive levels agree.
 
-    Agreement is tested against abs_tol widened by a relative floor a
+    Agreement is tested against ABS_TOL widened by a relative floor a
     little above machine precision: level sums over tens of thousands of
     nodes cannot distinguish finer than ~1e-13 of the integral itself.
     """
     if a >= b:
         raise ValueError("need a < b")
-    trunc = abs_tol * 1e-6
+    trunc = ABS_TOL * 1e-6
 
     def level_sum(h: float, odd_only: bool) -> float:
         total = 0.0
@@ -80,7 +80,9 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
             s = total + y
             comp = (s - total) - y
             total = s
-            if abs(contrib) < trunc:
+            # count only once the sum has mass: the flat middle of an
+            # integrand peaked at an endpoint gives small pairs too
+            if abs(contrib) < trunc and abs(total) > trunc:
                 small_run += 1
                 if small_run >= 3:
                     break
@@ -91,14 +93,14 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
 
     h = 1.0
     prev_value = h * level_sum(h, odd_only=False)
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         h *= 0.5
         new_value = 0.5 * prev_value + h * level_sum(h, odd_only=True)
-        if abs(new_value - prev_value) <= max(abs_tol, 2e-13 * abs(new_value)):
+        if abs(new_value - prev_value) <= max(ABS_TOL, 2e-13 * abs(new_value)):
             return new_value
         prev_value = new_value
     raise QuadratureNotConverged(
-        f"tanh-sinh did not reach {abs_tol} within {max_levels} levels"
+        f"tanh-sinh did not reach {ABS_TOL} within {MAX_LEVELS} levels"
     )
 
 
@@ -135,11 +137,3 @@ def gauss_geometric(f: Callable[[float], float], b: float,
     raise QuadratureNotConverged(
         f"geometric Gauss splitting did not decay within {max_panels} panels"
     )
-
-
-def gauss_uniform(f: Callable[[float], float], a: float, b: float,
-                  panel_width: float = 1.0, order: int = 16) -> float:
-    """Fixed composite Gauss-Legendre on [a, b] for smooth integrands."""
-    n = max(8, int(math.ceil((b - a) / panel_width)))
-    edges = np.linspace(a, b, n + 1)
-    return sum(_gl_panel(f, lo, hi, order) for lo, hi in zip(edges[:-1], edges[1:]))

@@ -194,17 +194,17 @@ def run_battery(g: float) -> list[CheckResult]:
         out.append(_skip("crum_origin_continuity", "needs >= 2 states"))
 
     if count >= 4:
-        res = crum.associated_orthogonality_residuals(1, params, spectrum)
-        capped = sorted(res.items())[:4]
-        out.append(_le("crum_orthogonality_residual",
-                       max(v for _, v in capped), 1e-7,
-                       f"{len(capped)} pairs"))
+        pairs = [(a, b) for a in range(1, count)
+                 for b in range(a + 2, count, 2)][:4]
+        res = crum.associated_orthogonality_residuals(1, params, spectrum,
+                                                      pairs=pairs)
+        out.append(_le("crum_orthogonality_residual", max(res.values()), 1e-7,
+                       f"{len(res)} pairs"))
     else:
         out.append(_skip("crum_orthogonality_residual", "needs >= 4 states"))
 
-    xs = np.linspace(0.0, 10.0, 201)
-    v0 = np.array([bound.potential(float(x), params) for x in xs])
-    *_, rel0 = crum.fit_exponential_family(xs, v0)
+    v0 = np.array([bound.potential(float(x), params) for x in crum.FIT_GRID])
+    *_, rel0 = crum.fit_exponential_family(crum.FIT_GRID, v0)
     out.append(_le("base_potential_family_fit", rel0, 1e-12))
     out.append(_gt("shape_invariance_misfit",
                    crum.shape_invariance_residual(params, spectrum), 1e-3))

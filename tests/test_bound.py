@@ -4,10 +4,12 @@ symmetry and small-argument structure."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from expwell import (
     PotentialParams,
@@ -232,6 +234,39 @@ def test_weak_binding_norm_route(normalized_spectrum_of):
     st0 = s.states[0]
     val = inner_product(st0, st0, s.params) * st0.norm_const ** 2
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+def _lommel_norm(order: float, x: float) -> float:
+    """4 * integral_0^x J_nu(t)^2 dt/t, the full-line norm of J(nu, rho(x))
+    at x = 2g.  Lommel's integral in the limit mu -> nu (DLMF 10.22) gives
+    the integral as (x/2nu) (J dJ'/dnu - J' dJ/dnu); evaluated at 40 digits
+    with mpmath's own Bessel functions and numerical order derivatives."""
+    with mp.workdps(40):
+        nu, x = mp.mpf(order), mp.mpf(x)
+        j, dj = mp.besselj(nu, x), mp.besselj(nu, x, 1)
+        dj_dnu = mp.diff(lambda n: mp.besselj(n, x), nu)
+        ddj_dnu = mp.diff(lambda n: mp.besselj(n, x, 1), nu)
+        return float(2 * x / nu * (j * ddj_dnu - dj * dj_dnu))
+
+
+_J01 = float(jn_zeros(0, 1)[0])
+_J11 = float(jn_zeros(1, 1)[0])
+
+
+@pytest.mark.parametrize("g, m", [
+    (0.05, 0),                         # weak route: the ground state
+    (_J01 / 2 * (1 + 1e-4), 1),        # weak route: just past the odd threshold
+    (_J11 / 2 * (1 + 1e-4), 2),        # weak route: just past an even threshold
+    (40.0, 0),                         # nu = 76.6: mass next to rho = 2g
+])
+def test_norm_against_lommel_closed_form(g, m, spectrum_of):
+    s = spectrum_of(g)
+    st_ = s.states[m]
+    # inner_product takes the x-space route for combined orders below 0.2
+    assert (2 * st_.order < 0.2) == (g != 40.0)
+    val = inner_product(st_, st_, s.params)
+    assert val == pytest.approx(_lommel_norm(st_.order, s.params.x_arg),
+                                rel=1e-14)
 
 
 def test_norm_against_numerov_trapezoid(normalized_spectrum_of):

@@ -144,5 +144,3 @@ def test_transmission_vanishing_potential():
 def test_transmission_validation():
     with pytest.raises(ValueError):
         transmission_numeric(0.0, PotentialParams(1.0))
-    with pytest.raises(ValueError):
-        transmission_numeric(1.0, PotentialParams(1.0), x_max=10.0)
