@@ -5,7 +5,7 @@ Submodules:
     bound     bound-state spectra as order-zeros, eigenfunctions, overlaps
     scatter   reflection/transmission amplitudes, unitarity, pole matching
     crum      associated isospectral systems from eigenfunction Wronskians
-    oracle    Bessel-free ODE cross-checks (Numerov shooting, RK45)
+    oracle    Bessel-free ODE cross-checks (one Numerov half-line sweep)
     cli       the `expwell` command-line front end
 """
 

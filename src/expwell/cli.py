@@ -297,13 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "V(x) = -g^2 exp(-|x|)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_tol):
+    def g_and_out(p):
         p.add_argument("--g", type=float, required=True,
                        help="coupling strength, g > 0")
-        p.add_argument("--tol", type=float, default=default_tol)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None,
                        help="output path (default: stdout)")
+
+    def common(p, default_tol):
+        g_and_out(p)
+        p.add_argument("--tol", type=float, default=default_tol)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("spectrum", help="bound states")
     common(p, 1e-12)
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crum)
 
     p = sub.add_parser("verify", help="run the full invariant battery")
-    common(p, 1e-9)
+    g_and_out(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _EIGEN_XS = (0.35, 0.6, 1.0, 1.6, 2.4, 3.5, 5.0)  # clear of the origin kink
+# finite-difference steps, times min(1, 20/g): the states steepen with g,
+# and unscaled steps fail verify's crum bounds from g ~ 35 on truncation
 _EIGEN_STEP = 2e-3
 _ORIGIN_EPS = 1e-4
 # where a potential is fitted to the family -f^2 e^(-|x|) + c
@@ -357,7 +359,7 @@ def eigen_equation_residual(L: int, n: int, params: PotentialParams,
     The second derivative is a fourth-order central difference, so the
     samples must stay away from the origin kink.
     """
-    h = _EIGEN_STEP
+    h = _EIGEN_STEP * min(1.0, 20.0 / params.g)
     e_n = spectrum.states[n].energy
     worst = 0.0
     scale = 0.0
@@ -381,7 +383,7 @@ def origin_continuity_residual(L: int, n: int, params: PotentialParams,
     def psi(x: float) -> float:
         return associated_eigenfunction(L, n, params, spectrum, x)
 
-    eps = _ORIGIN_EPS
+    eps = _ORIGIN_EPS * min(1.0, 20.0 / params.g)
     vals = {j: psi(j * eps) for j in (-3, -2, -1, 0, 1, 2, 3)}
     vscale = max(abs(v) for v in vals.values()) or 1.0
     value_gap = abs(vals[1] - vals[-1]) if (L + n) % 2 == 0 else abs(vals[0])

@@ -43,7 +43,3 @@ class UndefinedAtOrigin(ExpwellError):
 
 class BracketError(ExpwellError):
     """Shooting defect has equal signs at both bracket endpoints."""
-
-
-class StepSizeUnderflow(ExpwellError):
-    """Adaptive ODE integration failed to advance."""

@@ -1,12 +1,12 @@
 """Bessel-free cross-checks by direct ODE integration.
 
-Bound states: fourth-order Numerov integration of -psi'' + V psi =
--kappa^2 psi from a far cutoff inward with a decaying start; the
-matching defect at the origin (psi' for even parity, psi for odd) is
-driven to zero in kappa by Brent's method.  Scattering: the complex
-second-order ODE is integrated right-to-left with an adaptive RK45
-stepper and projected onto plane waves to extract the
-transmitted/reflected amplitudes.
+Every solution is one half-line piece matched at the origin, as in the
+paper: a fourth-order Numerov sweep of psi'' = (V - E) psi from a far
+cutoff inward to x = 0, never across the kink of V there.  Bound states
+start from the decaying e^(-kappa x), and a bracketing false-position
+search drives the origin defect (psi' for even parity, psi for odd) to
+zero in kappa.  Scattering starts from the transmitted wave e^(ikx);
+since V is even, r and t follow from psi(0) and psi'(0) alone.
 
 Nothing here touches the Bessel kernels, which is the point: agreement
 with the closed-form spectra and amplitudes is evidence for both.
@@ -14,15 +14,14 @@ with the closed-form spectra and amplitudes is evidence for both.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .bound import BoundState, PotentialParams
-from .errors import BracketError, StepSizeUnderflow
+from .errors import BracketError, NonFiniteValueError
 
 __all__ = [
     "SHOOTING_KAPPA_MIN",
@@ -39,8 +38,12 @@ __all__ = [
 # this the gate is over a fifth of kappa and would pass a visibly wrong one
 SHOOTING_KAPPA_MIN = 5e-7
 
-# cutoff of the scattering integration, where g^2 e^(-x) has fallen by e^40
-TRANSMISSION_X_MAX = 40.0
+# Numerov step of the scattering sweep; shooting takes it from ShootingConfig
+_STEP = 1e-3
+
+# eigenvalue search stops at this bracket width, below the error of a
+# sweep with h = 1e-3 against the closed form (up to ~1e-9)
+_KAPPA_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class ShootingConfig:
 
     parity: str
     kappa_bracket: tuple[float, float]
-    h: float = 1e-3
+    h: float = _STEP
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
@@ -61,57 +64,45 @@ class ShootingConfig:
             raise ValueError(f"invalid kappa bracket {self.kappa_bracket}")
 
 
-def _numerov_sweep(kappa: float, g: float, h: float, n: int, even: bool,
-                   keep: bool, out: np.ndarray) -> float:
-    """Integrate inward over n steps ending exactly at x = 0.
+def _sweep(e0: float, g: float, h: float, n: int, p0, p1, out=None):
+    """Integrate psi'' = (e0 - g^2 e^(-x)) psi inward from x = n h to 0.
 
-    Returns the origin defect normalized by the local solution scale.
-    When ``keep`` is set the (rescaled) samples are stored in ``out``
-    ordered from x = x_max down to 0.
+    p0, p1 are psi at x = n h and (n - 1) h, real or complex.  Numerov runs
+    in summed form, z = (1 - h^2 f/12) psi, d += h^2 f psi, z += d, which
+    keeps h^2 f/12 where the three-term form (12 - 10w) psi rounds it away
+    below 1e-16 of 1.  Returns psi(0) and psi'(0) (one-sided five-point
+    stencil).  With ``out`` the samples are stored from x = n h down to 0;
+    without it, growth is rescaled away by a common factor.
     """
-    xmax = n * h
-    c = h * h / 12.0
-    # w_i = 1 - c * f(x_i), f = kappa^2 - g^2 e^(-x), x decreasing
-    x = xmax
-    f0 = kappa * kappa - g * g * math.exp(-x)
-    x1 = xmax - h
-    f1 = kappa * kappa - g * g * math.exp(-x1)
-    p0 = 1.0
-    p1 = math.exp(kappa * h)
-    w0 = 1.0 - c * f0
-    w1 = 1.0 - c * f1
-    if keep:
+    hh = h * h
+    c = hh / 12.0
+    gg = g * g
+    f = e0 - gg * math.exp(-n * h)
+    z = (1.0 - c * f) * p0
+    f = e0 - gg * math.exp(-(n - 1) * h)
+    d = (1.0 - c * f) * p1 - z
+    z += d
+    psi = p1
+    # psi at x = 4h, 3h, 2h, h once the sweep ends
+    q4 = q3 = q2 = q1 = p0
+    if out is not None:
         out[0] = p0
         out[1] = p1
-    p2 = p1
-    pm3 = 0.0
-    pm4 = 0.0
-    pm2 = p0
-    for i in range(1, n):
-        x2 = xmax - (i + 1) * h
-        f2 = kappa * kappa - g * g * math.exp(-x2)
-        w2 = 1.0 - c * f2
-        p2 = ((12.0 - 10.0 * w1) * p1 - w0 * p0) / w2
-        pm4 = pm3
-        pm3 = pm2
-        pm2 = p0
-        p0, w0 = p1, w1
-        p1, w1 = p2, w2
-        if keep:
-            out[i + 1] = p2
-        elif abs(p2) > 1e250:
-            # homogeneous rescale; the normalized defect is unaffected
-            p0 *= 1e-250
-            p1 *= 1e-250
-            pm2 *= 1e-250
-            pm3 *= 1e-250
-            pm4 *= 1e-250
-    # trailing five samples at x = 4h, 3h, 2h, h, 0 are pm4, pm3, pm2, p0, p1
-    norm = abs(p1) + abs(p0)
-    if even:
-        d = (-25.0 * p1 + 48.0 * p0 - 36.0 * pm2 + 16.0 * pm3 - 3.0 * pm4) / (12.0 * h)
-        return d / norm
-    return p1 / norm
+    for j in range(n - 2, -1, -1):
+        d += hh * f * psi
+        z += d
+        f = e0 - gg * math.exp(-j * h)
+        q4, q3, q2, q1 = q3, q2, q1, psi
+        psi = z / (1.0 - c * f)
+        if out is not None:
+            out[n - j] = psi
+        elif abs(psi) > 1e250:
+            z *= 1e-250
+            d *= 1e-250
+            psi *= 1e-250
+            q4, q3, q2, q1 = q4 * 1e-250, q3 * 1e-250, q2 * 1e-250, q1 * 1e-250
+    slope = (-25.0 * psi + 48.0 * q1 - 36.0 * q2 + 16.0 * q3 - 3.0 * q4) / (12.0 * h)
+    return psi, slope
 
 
 def _grid_size(kappa: float, g: float, h: float) -> int:
@@ -124,32 +115,54 @@ def _grid_size(kappa: float, g: float, h: float) -> int:
     weakly bound state, so a cutoff scaled with 1/kappa buys nothing
     there.  The cutoff instead ends the grid where the potential is
     negligible, g^2 e^(-x_max)/kappa^2 = e^(-40), which bounds the
-    admixture directly, and never before x = 40.
+    admixture directly, and never before x = 40.  The scattering start
+    e^(ikx) is bounded the same way with k in place of kappa.
     """
     x_max = max(40.0, math.log(g * g / (kappa * kappa)) + 40.0)
     return int(math.ceil(x_max / h))
 
 
 def _defect(kappa: float, params: PotentialParams, cfg: ShootingConfig) -> float:
+    """Origin defect of one sweep, psi' (even) or psi (odd), over
+    |psi(0)| + |psi(h)|, which never both vanish."""
     n = _grid_size(kappa, params.g, cfg.h)
-    dummy = np.empty(0)
-    return _numerov_sweep(kappa, params.g, cfg.h, n, cfg.parity == "even",
-                          False, dummy)
+    psi, slope = _sweep(kappa * kappa, params.g, cfg.h, n,
+                        1.0, math.exp(kappa * cfg.h))
+    norm = abs(psi) + abs(psi + cfg.h * slope)
+    return (slope if cfg.parity == "even" else psi) / norm
 
 
 def numerov_eigenvalue(params: PotentialParams, cfg: ShootingConfig) -> float:
-    """Brent root of the shooting defect inside the configured bracket."""
+    """Zero of the shooting defect inside the configured bracket.
+
+    False position, bisecting whenever two steps in a row fail to halve
+    the bracket, down to a width of _KAPPA_XTOL.  Points stay _KAPPA_XTOL/4
+    inside the bracket, so a one-sided approach ends by stepping across.
+    """
     lo, hi = cfg.kappa_bracket
-    ends = {lo: _defect(lo, params, cfg), hi: _defect(hi, params, cfg)}
-    if math.copysign(1.0, ends[lo]) == math.copysign(1.0, ends[hi]):
+    f_lo, f_hi = _defect(lo, params, cfg), _defect(hi, params, cfg)
+    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketError(
             f"defect has equal signs at bracket {cfg.kappa_bracket}: "
-            f"{ends[lo]:.3e}, {ends[hi]:.3e}"
+            f"{f_lo:.3e}, {f_hi:.3e}"
         )
-    # brentq evaluates both endpoints again; reuse the sweeps just made
-    return brentq(
-        lambda k: ends[k] if k in ends else _defect(k, params, cfg),
-        lo, hi, xtol=1e-12)
+    slow = 0
+    while hi - lo > _KAPPA_XTOL:
+        width = hi - lo
+        if slow >= 2:
+            kappa, slow = 0.5 * (lo + hi), 0
+        else:
+            kappa = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            kappa = min(max(kappa, lo + 0.25 * _KAPPA_XTOL), hi - 0.25 * _KAPPA_XTOL)
+        f = _defect(kappa, params, cfg)
+        if f == 0.0:
+            return kappa
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = kappa, f
+        else:
+            hi, f_hi = kappa, f
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return 0.5 * (lo + hi)
 
 
 def shooting_kappa(state: BoundState, params: PotentialParams) -> float | None:
@@ -177,38 +190,28 @@ def numerov_wavefunction(kappa: float, params: PotentialParams,
     """
     n = _grid_size(kappa, params.g, cfg.h)
     if kappa * n * cfg.h > 600.0:
-        raise ValueError("stored sweep would overflow; reduce kappa")
+        raise NonFiniteValueError(
+            f"stored sweep would overflow: kappa * x_max = {kappa * n * cfg.h:.0f}")
     out = np.empty(n + 1)
-    _numerov_sweep(kappa, params.g, cfg.h, n, cfg.parity == "even", True, out)
+    _sweep(kappa * kappa, params.g, cfg.h, n, 1.0, math.exp(kappa * cfg.h), out)
     xs = cfg.h * np.arange(n + 1)
     return xs, out[::-1].copy()
 
 
 def transmission_numeric(k: float, params: PotentialParams):
-    """Reflection and transmission amplitudes from direct integration.
+    """Reflection and transmission amplitudes from one half-line sweep.
 
-    Starts from psi = e^(ikx) at +TRANSMISSION_X_MAX, integrates to
-    -TRANSMISSION_X_MAX, and projects onto e^(+-ikx) there; returns (r, t).
+    u starts as e^(ikx) at the cutoff and is swept in to x = 0.  A wave
+    incident from the left is t u(x) for x > 0 and conj(u(-x)) + r u(-x)
+    for x < 0, since V is even; continuity of psi and psi' at the origin
+    gives t - r = a and t + r = -b, with a = conj(u(0))/u(0) and
+    b = conj(u'(0))/u'(0).  Returns (r, t).
     """
     if k <= 0.0:
         raise ValueError("momentum k must be positive")
-    g = params.g
-    x_max = TRANSMISSION_X_MAX
-
-    def rhs(x, y):
-        coeff = -g * g * math.exp(-abs(x)) - k * k
-        return (y[2], y[3], coeff * y[0], coeff * y[1])
-
-    y0 = (math.cos(k * x_max), math.sin(k * x_max),
-          -k * math.sin(k * x_max), k * math.cos(k * x_max))
-    sol = solve_ivp(rhs, (x_max, -x_max), y0, method="RK45",
-                    rtol=1e-11, atol=1e-11)
-    if not sol.success:
-        raise StepSizeUnderflow(f"transmission integration failed: {sol.message}")
-    pr, pi, qr, qi = sol.y[:, -1]
-    psi = pr + 1j * pi
-    dpsi = qr + 1j * qi
-    phase = np.exp(-1j * k * (-x_max))
-    a = (dpsi + 1j * k * psi) / (2j * k) * phase
-    b = -(dpsi - 1j * k * psi) / (2j * k) / phase
-    return b / a, 1.0 / a
+    n = _grid_size(k, params.g, _STEP)
+    u, slope = _sweep(-k * k, params.g, _STEP, n, cmath.exp(1j * k * n * _STEP),
+                      cmath.exp(1j * k * (n - 1) * _STEP))
+    a = u.conjugate() / u
+    b = slope.conjugate() / slope
+    return -0.5 * (a + b), 0.5 * (a - b)

@@ -15,7 +15,6 @@ against.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +30,9 @@ __all__ = [
 _T_CAP = 6.5  # |t| beyond which double-exponential weights underflow
 ABS_TOL = 1e-11
 MAX_LEVELS = 12
+# gauss_geometric: 16-point Legendre panels; it also stops at ABS_TOL
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 4000
 
 
 def _de_node(t: float, a: float, b: float):
@@ -104,30 +106,22 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float) -> float:
     )
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _gl_panel(f, lo: float, hi: float, order: int) -> float:
-    nodes, weights = _leggauss(order)
+def _gl_panel(f, lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+    return half * sum(w * f(mid + half * t) for t, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def gauss_geometric(f: Callable[[float], float], b: float,
-                    abs_tol: float = 1e-11, max_panels: int = 4000,
-                    order: int = 16) -> float:
+def gauss_geometric(f: Callable[[float], float], b: float) -> float:
     """Integrate f on (0, b] with panels split geometrically toward 0."""
     total = 0.0
     hi = b
     small_run = 0
-    for j in range(max_panels):
+    for j in range(_MAX_PANELS):
         lo = 0.5 * hi
-        contrib = _gl_panel(f, lo, hi, order)
+        contrib = _gl_panel(f, lo, hi)
         total += contrib
-        if abs(contrib) < 0.125 * abs_tol:
+        if abs(contrib) < 0.125 * ABS_TOL:
             small_run += 1
             if small_run >= 3 and j >= 8:
                 return total
@@ -135,5 +129,5 @@ def gauss_geometric(f: Callable[[float], float], b: float,
             small_run = 0
         hi = lo
     raise QuadratureNotConverged(
-        f"geometric Gauss splitting did not decay within {max_panels} panels"
+        f"geometric Gauss splitting did not decay within {_MAX_PANELS} panels"
     )

@@ -133,6 +133,14 @@ def test_verify_command(capsys):
     assert "PASS" in out
 
 
+def test_verify_rejects_report_flags(capsys):
+    # verify always writes JSON and has no tolerance of its own
+    code, _, _ = run_cli(capsys, "verify", "--g", "1", "--format", "csv")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "verify", "--g", "1", "--tol", "1e-3")
+    assert code == 2
+
+
 def test_output_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["scatter", "--g", "2", "--kmin", "0.2", "--kmax", "3",

@@ -6,6 +6,8 @@ eigenfunctions themselves (x side) and of the Bessel kernels (rho side),
 and eigenfunction claims are checked through the eigen-equation residual
 with the potential built by the determinant route."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -245,6 +247,19 @@ def test_origin_continuity(spectrum_of):
     p = PotentialParams(5.0)
     for L, n in ((1, 1), (1, 2), (2, 2), (2, 3)):
         assert origin_continuity_residual(L, n, p, s) <= 1e-8, (L, n)
+
+
+def test_residual_steps_scale_with_g(spectrum_of):
+    # fixed steps read 1.23e-6 (eigen) and 1.88e-8 (origin) here
+    s = spectrum_of(40.0)
+    p = PotentialParams(40.0)
+    assert eigen_equation_residual(1, 1, p, s) <= 1e-6
+    assert max(origin_continuity_residual(1, n, p, s) for n in (1, 2)) <= 1e-8
+    states = list(s.states)
+    states[1] = dataclasses.replace(states[1],
+                                    energy=states[1].energy * (1 + 1e-8))
+    wrong = dataclasses.replace(s, states=tuple(states))
+    assert eigen_equation_residual(1, 1, p, wrong) > 1e-6
 
 
 def test_level_index_validation(spectrum_of):

@@ -1,8 +1,12 @@
-"""Every name a module exports in ``__all__`` exists on it, and the kernel
-caches keep the interface the benchmark worker reads."""
+"""Every name a module exports in ``__all__`` exists on it, the kernel
+caches keep the interface the benchmark worker reads, and the package
+imports no more than its declared dependencies."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,14 @@ def test_kernel_caches_keep_lru_interface(cached):
     info = cached.cache_info()
     assert info.currsize == 0
     assert info.hits == info.misses == 0
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package runs on numpy and mpmath
+    src = os.path.dirname(os.path.dirname(expwell.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import expwell, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,6 +4,9 @@ These are the Bessel-free reference paths, so they are tested both for
 internal consistency (method order, flux conservation) and against the
 closed-form results."""
 
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -20,7 +23,7 @@ from expwell import (
     transmission_numeric,
 )
 from expwell import oracle
-from expwell.errors import BracketError
+from expwell.errors import BracketError, ExpwellError
 from expwell.verify import run_battery
 
 
@@ -124,10 +127,27 @@ def test_numerov_wave_node_counts(spectrum_of):
         assert total == st_.m
 
 
+def test_numerov_wavefunction_overflow_is_numerical_error():
+    # kappa * x_max = 20 * 40.4 > 600: the stored samples would overflow
+    cfg = ShootingConfig(parity="even", kappa_bracket=(19.0, 21.0))
+    with pytest.raises(ExpwellError):
+        numerov_wavefunction(20.0, PotentialParams(25.0), cfg)
+
+
 def test_transmission_against_closed_form(spectrum_of):
     pt = amplitudes(1.0, PotentialParams(1.0))
     r, t = transmission_numeric(1.0, PotentialParams(1.0))
     assert abs(abs(t) ** 2 - abs(pt.t) ** 2) <= 1e-4
+    # complex amplitudes: the closed form's Bessel normalisation differs
+    # from plane waves by the common phase chi = 2 arg Gamma(1 + 2ik)
+    for g in (0.3, 1.0, 5.0, 20.0):
+        params = PotentialParams(g)
+        for k in (0.05, 0.5, 1.0, 3.0):
+            pt = amplitudes(k, params)
+            phase = cmath.exp(2j * float(mpmath.loggamma(1 + 2j * k).imag))
+            r, t = transmission_numeric(k, params)
+            assert abs(r - pt.r * phase) <= 1e-7, (g, k)
+            assert abs(t - pt.t * phase) <= 1e-7, (g, k)
 
 
 def test_transmission_flux_conservation():
