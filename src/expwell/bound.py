@@ -328,15 +328,20 @@ def normalize(spectrum: Spectrum) -> Spectrum:
     """Attach norm_const = 1/sqrt(<psi, psi>) to every state (positive sign,
     so each normalized state decays to +0 as x -> +infinity).
 
-    Raises NonFiniteValueError when a norm integral is NaN, infinite or
-    not positive.
+    The norm is 4 * integral_0^2g J(nu, rho)^2 drho/rho in closed form,
+    from Lommel's integral (specfun._lommel_integral); no quadrature runs.
+    inner_product, the quadrature route, is the independent check.
+
+    Raises NonFiniteValueError when a norm is NaN, infinite or not
+    positive.
     """
+    x = spectrum.params.x_arg
     states = []
     for s in spectrum.states:
-        nn = inner_product(s, s, spectrum.params)
+        nn = 4.0 * specfun._lommel_integral(s.order, x)
         if not (nn > 0.0 and math.isfinite(nn)):
             raise NonFiniteValueError(
-                f"norm integral {nn!r} of state {s.m} is not finite and positive")
+                f"norm {nn!r} of state {s.m} is not finite and positive")
         states.append(replace(s, norm_const=1.0 / math.sqrt(nn)))
     return Spectrum(params=spectrum.params, states=tuple(states))
 

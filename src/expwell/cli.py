@@ -52,7 +52,7 @@ def _json_dump(obj, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{inner}{_json_dump(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"

@@ -301,6 +301,45 @@ def associated_eigenfunction(L: int, n: int, params: PotentialParams,
     return pref * out
 
 
+def _overlap_integral(L: int, a: int, b: int, params: PotentialParams,
+                      spectrum: Spectrum) -> float:
+    """int_0^2g W[seeds, J_a] W[seeds, J_b] / W[seeds]^2 rho^(2L-1) drho
+    by tanh-sinh over the determinant ratios."""
+    orders = tuple(s.order for s in spectrum.states[:L])
+    seed_rows = tuple(range(L))
+    bord_rows = tuple(range(L + 1))
+    nu_a = spectrum.states[a].order
+    nu_b = spectrum.states[b].order
+
+    def f(r: float) -> float:
+        with specfun.MP_LOCK, mp.workdps(_det_dps(orders + (nu_a, nu_b), r)):
+            ws = _wronskian_det_mp(orders, seed_rows, r)
+            if ws == 0:
+                raise NodeSingularity(f"seed Wronskian vanished at rho={r}")
+            wa = _wronskian_det_mp(orders + (nu_a,), bord_rows, r)
+            wb = _wronskian_det_mp(orders + (nu_b,), bord_rows, r)
+            val = wa * wb / (ws * ws) * mp.power(mp.mpf(r), 2 * L - 1)
+            return float(val)
+
+    return tanh_sinh(f, 0.0, params.x_arg)
+
+
+def _closed_diagonal(L: int, n: int, params: PotentialParams,
+                     spectrum: Spectrum) -> float:
+    """_overlap_integral(L, n, n) in closed form.
+
+    Crum (1955): the Wronskian-ratio eigenfunctions have
+    ||psi_n^[L]||^2 = prod_{j<L} (E_n - E_j) ||psi_n||^2.  In the rho
+    form this reads 4^(L-1) prod_{j<L} (E_n - E_j) N_n, with N_n the
+    full-line norm 4 int_0^2g J(nu_n, rho)^2 drho/rho of the base state,
+    itself in closed form (Lommel's integral).
+    """
+    e_n = spectrum.states[n].energy
+    prod = math.prod(e_n - s.energy for s in spectrum.states[:L])
+    return 4.0 ** L * prod * specfun._lommel_integral(
+        spectrum.states[n].order, params.x_arg)
+
+
 def associated_orthogonality_residuals(L: int, params: PotentialParams,
                                        spectrum: Spectrum,
                                        pairs=None) -> dict:
@@ -308,36 +347,16 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
 
     For states a != b of equal parity the integral
 
-        int_0^2g W[seeds, J_a](rho) W[seeds, J_b](rho) / W[seeds](rho)^2
-                 * rho^(2L-1) drho
+        I_ab = int_0^2g W[seeds, J_a](rho) W[seeds, J_b](rho) / W[seeds](rho)^2
+                        * rho^(2L-1) drho
 
     vanishes identically; the returned dict maps (a, b) to
-    |I_ab| / sqrt(I_aa I_bb).  L = 0 reduces to plain same-parity
-    orthogonality of J(nu_m, rho) with weight 1/rho.
+    |I_ab| / sqrt(I_aa I_bb), with the diagonals I_aa in closed form
+    (_closed_diagonal).  L = 0 reduces to plain same-parity orthogonality
+    of J(nu_m, rho) with weight 1/rho.
     """
     if spectrum.count < L + 2:
         raise ValueError(f"need at least L+2 = {L + 2} states")
-    orders = tuple(s.order for s in spectrum.states[:L])
-    seed_rows = tuple(range(L))
-    bord_rows = tuple(range(L + 1))
-    x_arg = params.x_arg
-
-    def raw(a: int, b: int) -> float:
-        nu_a = spectrum.states[a].order
-        nu_b = spectrum.states[b].order
-
-        def f(r: float) -> float:
-            with specfun.MP_LOCK, mp.workdps(_det_dps(orders + (nu_a, nu_b), r)):
-                ws = _wronskian_det_mp(orders, seed_rows, r)
-                if ws == 0:
-                    raise NodeSingularity(f"seed Wronskian vanished at rho={r}")
-                wa = _wronskian_det_mp(orders + (nu_a,), bord_rows, r)
-                wb = _wronskian_det_mp(orders + (nu_b,), bord_rows, r)
-                val = wa * wb / (ws * ws) * mp.power(mp.mpf(r), 2 * L - 1)
-                return float(val)
-
-        return tanh_sinh(f, 0.0, x_arg)
-
     indices = list(range(L, spectrum.count))
     if pairs is None:
         pairs = [(a, b) for i, a in enumerate(indices) for b in indices[i + 1:]
@@ -347,8 +366,9 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
     for a, b in pairs:
         for idx in (a, b):
             if idx not in diag:
-                diag[idx] = raw(idx, idx)
-        out[(a, b)] = abs(raw(a, b)) / math.sqrt(diag[a] * diag[b])
+                diag[idx] = _closed_diagonal(L, idx, params, spectrum)
+        out[(a, b)] = (abs(_overlap_integral(L, a, b, params, spectrum))
+                       / math.sqrt(diag[a] * diag[b]))
     return out
 
 

@@ -73,26 +73,35 @@ def _not_converged(nu: complex, x: float) -> ConvergenceError:
 
 
 def _sum_real(nu: float, x: float, dps: int, bits: int,
-              weighted: bool) -> tuple[int, int]:
-    """Normalised series S for real order and, when weighted, the sum of
-    m t_m (else 0), both times 2^bits, as ints."""
+              n: int) -> tuple[int, int, int, int]:
+    """Fixed-point sums of the real-order series, as ints: S times 2^bits;
+    for n >= 1 also sum_m m t_m times 2^bits; for n = 2 also
+    A = sum_m t_m H_m and B = sum_m m t_m H_m times 2^(2 bits), with
+    H_m = sum_{j=1..m} 1/(nu+j).  Sums not asked for are 0."""
     a, b = nu.as_integer_ratio()
     c, d = x.as_integer_ratio()
     # q / (m (nu + m)) = num / (den m (a + m b))
     num, den = c * c * b, 4 * d * d
-    term = total = 1 << bits
-    mtotal = 0
+    one = 1 << bits
+    term = total = one
+    mtotal = harm = htotal = mhtotal = 0
     scale = 10 ** (dps + 5)
     small_run = 0
     for m in range(1, _MAX_TERMS + 1):
         term = -(term * num // (den * m * (a + m * b)))
         total += term
-        if weighted:
+        if n:
             mtotal += m * term
+            if n == 2:
+                # 1/(nu + m) = b / (a + m b)
+                harm += one * b // (a + m * b)
+                th = term * harm
+                htotal += th
+                mhtotal += m * th
         if abs(term) * scale <= abs(total):
             small_run += 1
             if small_run >= 3:
-                return total, mtotal
+                return total, mtotal, htotal, mhtotal
         else:
             small_run = 0
     raise _not_converged(complex(nu), x)
@@ -168,7 +177,7 @@ def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
     dps = working_dps(complex(nu_re, nu_im), x)
     bits = int(3.33 * dps) + 20
     if nu_im == 0.0:
-        s_fix, w_fix = _sum_real(nu_re, x, dps, bits, n == 1)
+        s_fix, w_fix = _sum_real(nu_re, x, dps, bits, n)[:2]
     else:
         s_fix, w_fix = _sum_complex(nu_re, nu_im, x, dps, bits, n == 1)
     with MP_LOCK, mp.workdps(dps):
@@ -179,6 +188,31 @@ def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
         if n == 0:
             return j
         return j, pref * (nu * s + 2 * _fixed_to_mp(w_fix, bits)) / x
+
+
+def _lommel_integral(nu: float, x: float) -> float:
+    """integral_0^x J(nu, t)^2 dt/t for real order nu > 0, in closed form.
+
+    Lommel's integral in the limit mu -> nu (DLMF 10.22, Watson 5.11)
+    gives it as (x/2nu) (J d_nu J' - J' d_nu J).  With J = P S and
+    J' = (P/x)(nu S + 2W), W = sum_m m t_m, the order derivative of the
+    prefactor, P (ln(x/2) - psi(nu+1)), cancels from that combination,
+    and d_nu t_m = -t_m H_m with H_m = sum_{j=1..m} 1/(nu+j).  So
+
+        integral = P^2 (S^2 - 2 S B + 2 W A) / (2 nu),
+
+    A = sum_m t_m H_m, B = sum_m m t_m H_m.  The four sums come from one
+    integer loop and are combined exactly in ints; P is formed as in
+    _series_cached.  One expression serves both parities, so it does not
+    rely on J or J' vanishing exactly at a rounded root.
+    """
+    dps = working_dps(complex(nu), x)
+    bits = int(3.33 * dps) + 20
+    s, w, a, b = _sum_real(nu, x, dps, bits, 2)
+    comb = ((s * s) << bits) - 2 * s * b + 2 * w * a
+    with MP_LOCK, mp.workdps(dps):
+        pref = mp.power(mp.mpf(x) / 2, nu) / mp.gamma(mp.mpf(nu) + 1)
+        return float(pref * pref * mp.mpf((comb, -3 * bits)) / (2 * nu))
 
 
 def _entry(nu: complex, x: float, n: int) -> tuple:

@@ -35,6 +35,10 @@ class CheckResult:
     passed: bool
     note: str = ""
 
+    def __post_init__(self):
+        # a comparison of numpy floats gives numpy.bool_
+        object.__setattr__(self, "passed", bool(self.passed))
+
     @property
     def skipped(self) -> bool:
         return self.comparator == "skip"
@@ -115,7 +119,8 @@ def run_battery(g: float) -> list[CheckResult]:
         out.append(_le("small_g_two_term",
                        abs((2.0 * g) ** 2 / two_term - 1.0), 5e-3))
 
-    # orthonormality of the normalized states
+    # orthonormality: closed-form norms (Lommel's integral) against
+    # tanh-sinh overlaps, so the diagonal compares two routes
     head = states[:_MAX_PAIR_STATES]
     normalized = bound.normalize(
         bound.Spectrum(params=params, states=tuple(head)))
@@ -127,7 +132,8 @@ def run_battery(g: float) -> list[CheckResult]:
             target = 1.0 if a.m == b.m else 0.0
             worst = max(worst, abs(ip - target))
     out.append(_le("orthonormality", worst, 1e-8,
-                   f"first {len(head)} states"))
+                   f"first {len(head)} states; closed-form Lommel norms "
+                   "vs tanh-sinh overlaps"))
 
     # oracle: eigenvalues; states below oracle.SHOOTING_KAPPA_MIN are skipped
     gaps = [abs(k - s.kappa) for s in states
@@ -202,6 +208,22 @@ def run_battery(g: float) -> list[CheckResult]:
                        f"{len(res)} pairs"))
     else:
         out.append(_skip("crum_orthogonality_residual", "needs >= 4 states"))
+
+    # Crum's closed-form diagonal (E_1 - E_0) N_1 against tanh-sinh over
+    # the determinant ratio.  A correct build reads at most 2.1e-15 over
+    # 73 couplings g = 1.3-40; the bound fails an E_0 or a base norm off
+    # by 1e-9.  The rho-form quadrature cannot resolve a state whose mass
+    # lies below double range, so state 1 must pass inner_product's rule.
+    if count < 2:
+        out.append(_skip("crum_norm_identity", "needs >= 2 states"))
+    elif 2.0 * states[1].order < 0.2:
+        out.append(_skip("crum_norm_identity",
+                         "state 1 too weakly bound for the rho quadrature"))
+    else:
+        quad = crum._overlap_integral(1, 1, 1, params, spectrum)
+        closed = crum._closed_diagonal(1, 1, params, spectrum)
+        out.append(_le("crum_norm_identity", abs(quad / closed - 1.0), 1e-12,
+                       "L = 1, state 1: tanh-sinh vs (E_1 - E_0) N_1"))
 
     v0 = np.array([bound.potential(float(x), params) for x in crum.FIT_GRID])
     *_, rel0 = crum.fit_exponential_family(crum.FIT_GRID, v0)

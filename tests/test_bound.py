@@ -20,14 +20,16 @@ from expwell import (
     even_condition,
     find_spectrum,
     inner_product,
+    normalize,
     numerov_eigenvalue,
     numerov_wavefunction,
     odd_condition,
     order_zeros,
     rho,
 )
-from expwell import bound
+from expwell import bound, specfun
 from expwell.quadrature import gauss_geometric
+from expwell.verify import run_battery
 
 # high-precision order-zero references (50-digit root refinement, frozen)
 KAPPA0_G1 = 0.5627207610599921544
@@ -267,6 +269,34 @@ def test_norm_against_lommel_closed_form(g, m, spectrum_of):
     val = inner_product(st_, st_, s.params)
     assert val == pytest.approx(_lommel_norm(st_.order, s.params.x_arg),
                                 rel=1e-14)
+
+
+@pytest.mark.parametrize("g", [0.001, 0.05, 1.0, 5.0, 20.0, 40.0])
+def test_closed_form_norm_against_lommel_reference(g, spectrum_of):
+    s = normalize(spectrum_of(g))
+    for st_ in s.states:
+        ref = _lommel_norm(st_.order, s.params.x_arg)
+        assert st_.norm_const ** -2 == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("g", [0.05, 5.0, 20.0])
+def test_normalize_runs_no_quadrature(g, spectrum_of, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normalize called tanh_sinh")
+
+    monkeypatch.setattr(bound, "tanh_sinh", refuse)
+    s = normalize(spectrum_of(g))
+    assert all(st_.norm_const > 0.0 for st_ in s.states)
+
+
+def test_orthonormality_row_fails_on_scaled_norm(monkeypatch):
+    # the row compares closed-form norms with tanh-sinh overlaps
+    exact = specfun._lommel_integral
+    monkeypatch.setattr(specfun, "_lommel_integral",
+                        lambda nu, x: exact(nu, x) * (1 + 1e-7))
+    (row,) = [c for c in run_battery(2.1) if c.name == "orthonormality"]
+    assert not row.passed
+    assert row.value >= 5e-8
 
 
 def test_norm_against_numerov_trapezoid(normalized_spectrum_of):

@@ -8,8 +8,11 @@ import threading
 
 import jsonschema
 
-from expwell import bound, crum, specfun
-from expwell.cli import main
+import numpy as np
+
+from expwell import crum, specfun
+from expwell.cli import _json_dump, main
+from expwell.verify import CheckResult
 
 try:
     from importlib.resources import files as _files
@@ -59,7 +62,7 @@ def test_spectrum_negative_g_usage_error(capsys):
 
 
 def test_spectrum_nonfinite_norm_is_numerical_error(capsys, monkeypatch):
-    monkeypatch.setattr(bound, "inner_product", lambda *args: math.nan)
+    monkeypatch.setattr(specfun, "_lommel_integral", lambda *args: math.nan)
     code, out, err = run_cli(capsys, "spectrum", "--g", "1")
     assert code == 1
     assert out == ""
@@ -200,3 +203,13 @@ def test_float_serialization_round_trips(capsys):
     doc = json.loads(out)
     kappa = doc["results"]["states"][0]["kappa"]
     assert float(format(kappa, ".17g")) == kappa
+
+
+def test_numpy_bool_is_a_json_boolean():
+    # a check comparing numpy floats yields numpy.bool_
+    passed = np.float64(1e-9) <= 1e-8
+    assert isinstance(passed, np.bool_)
+    assert json.loads(_json_dump({"passed": passed})) == {"passed": True}
+    assert json.loads(_json_dump([np.bool_(False)])) == [False]
+    row = CheckResult("x", 1e-9, 1e-8, "<=", passed)
+    assert type(row.passed) is bool and row.passed

@@ -30,7 +30,7 @@ from expwell import (
     v1_closed_form,
     wronskian_bessel,
 )
-from expwell import crum, specfun
+from expwell import bound, crum, specfun
 from expwell.crum import fit_exponential_family
 from expwell.errors import UndefinedAtOrigin
 from expwell.quadrature import gauss_geometric
@@ -294,6 +294,53 @@ def test_orthogonality_dual_scheme_cross_check(spectrum_of, monkeypatch):
                         lambda f, lo, hi: gauss_geometric(f, hi))
     r2 = associated_orthogonality_residuals(1, p, s, pairs=pair)
     assert abs(r1[(1, 3)] - r2[(1, 3)]) <= 1e-8
+
+
+@pytest.mark.parametrize("g, level", [(4.7, 1), (4.7, 2), (8.0, 3)])
+def test_closed_diagonal_against_quadrature(g, level, spectrum_of):
+    s = spectrum_of(g)
+    p = PotentialParams(g)
+    for n in range(level, level + 3):
+        quad = crum._overlap_integral(level, n, n, p, s)
+        assert crum._closed_diagonal(level, n, p, s) == pytest.approx(
+            quad, rel=1e-13)
+
+
+def _norm_identity_row(g):
+    (row,) = [c for c in run_battery(g) if c.name == "crum_norm_identity"]
+    return row
+
+
+def test_battery_crum_norm_identity_row():
+    row = _norm_identity_row(2.1)
+    assert row.passed and row.value <= 1e-14
+    # one bound state; a second one too weakly bound for the rho quadrature
+    assert _norm_identity_row(1.0).skipped
+    assert _norm_identity_row(1.21).skipped
+
+
+def test_battery_crum_norm_identity_fails_on_perturbed_energy(monkeypatch):
+    exact = bound.find_spectrum
+
+    def perturbed(params, tol=1e-12):
+        s = exact(params, tol)
+        s0 = dataclasses.replace(s.states[0],
+                                 energy=s.states[0].energy * (1 + 1e-9))
+        return dataclasses.replace(s, states=(s0,) + s.states[1:])
+
+    monkeypatch.setattr(bound, "find_spectrum", perturbed)
+    row = _norm_identity_row(2.1)
+    assert not row.passed
+    assert row.value >= 1e-9
+
+
+def test_battery_crum_norm_identity_fails_on_perturbed_norm(monkeypatch):
+    exact = specfun._lommel_integral
+    monkeypatch.setattr(specfun, "_lommel_integral",
+                        lambda nu, x: exact(nu, x) * (1 + 1e-9))
+    row = _norm_identity_row(2.1)
+    assert not row.passed
+    assert row.value >= 5e-10
 
 
 def test_wronskian_composition_identity(spectrum_of):
