@@ -19,11 +19,16 @@ continuous across x = 0: whenever L+n is odd the boundary conditions at
 rho = 2g force the bordered Bessel Wronskian to vanish there.
 
 Derivatives of determinants are taken analytically (raise the last row;
-the second derivative adds the two single-row-raised terms).  Every
-column takes J and J' from one series entry and the higher rows from
-Bessel's equation.  Ratios are formed in extended precision because the
-row scales span rho^(nu - i), far outside double range near the
-endpoint.
+the second derivative adds the two single-row-raised terms).  So every
+determinant is a minor of one table of rho-derivatives with one column
+per order: a determinant builds each order's column once (J and J' from
+one series entry, higher rows from Bessel's equation) and always goes
+through the same elimination.  Ratios are formed in extended precision
+because the row scales span rho^(nu - i), far outside double range near
+the endpoint.
+
+Overlaps are integrated already divided by Crum's closed-form diagonals,
+so the quadrature works on a quantity of size 1 at every level.
 """
 
 from __future__ import annotations
@@ -112,22 +117,15 @@ def _det_gauss(a):
 @lru_cache(maxsize=200_000)
 def _wronskian_det_mp(orders: tuple[float, ...], rows: tuple[int, ...],
                       r: float):
-    """det of [d^rows[i] J(orders[j], r) / dr^rows[i]] as an mpmath value."""
-    n = len(orders)
-    if n == 0:
-        return mp.mpf(1)
+    """det of [d^rows[i] J(orders[j], r) / dr^rows[i]] as an mpmath value.
+
+    Each order's column of derivatives is built once, to depth max(rows),
+    and the rows are read from it.
+    """
     with specfun.MP_LOCK, mp.workdps(_det_dps(orders, r)):
-        if n == 1:
-            return specfun.bessel_j_dn_mp(orders[0], r, rows[0])
-        a = [[specfun.bessel_j_dn_mp(nu, r, d) for nu in orders]
-             for d in rows]
-        if n == 2:
-            return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        if n == 3:
-            return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                    - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                    + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-        return _det_gauss(a)
+        depth = max(rows, default=0)
+        cols = [specfun.bessel_j_derivs_mp(nu, r, depth) for nu in orders]
+        return _det_gauss([[c[d] for c in cols] for d in rows])
 
 
 def wronskian_bessel(orders, r: float) -> float:
@@ -213,21 +211,15 @@ def associated_potential(L: int, params: PotentialParams, spectrum: Spectrum,
                          x: float) -> float:
     """V^[L](x) = V(x) - 2 (log|W[seeds]|)'' by the determinant route.
 
-    The x = 0 value is the symmetric limit, evaluated at +-1e-6 and
-    averaged; both sides agree identically because only rho(|x|) enters.
+    The x = 0 value is the symmetric limit, evaluated once at x = 1e-6:
+    only rho(|x|) enters, so both sides give the same value.
     """
     if L < 0:
         raise ValueError("level L must be >= 0")
     if spectrum.count < L:
         raise ValueError(f"need at least {L} states, have {spectrum.count}")
     g = params.g
-    if x == 0.0:
-        vp = associated_potential(L, params, spectrum, +1e-6)
-        vm = associated_potential(L, params, spectrum, -1e-6)
-        if abs(vp - vm) > 1e-6 * (1.0 + abs(vp)):
-            raise UndefinedAtOrigin(f"potential limits differ: {vp} vs {vm}")
-        return 0.5 * (vp + vm)
-    r = rho(x, g)
+    r = rho(x if x != 0.0 else 1e-6, g)
     if L == 0:
         return -0.25 * r * r
     orders = tuple(s.order for s in spectrum.states[:L])
@@ -303,13 +295,22 @@ def associated_eigenfunction(L: int, n: int, params: PotentialParams,
 
 def _overlap_integral(L: int, a: int, b: int, params: PotentialParams,
                       spectrum: Spectrum) -> float:
-    """int_0^2g W[seeds, J_a] W[seeds, J_b] / W[seeds]^2 rho^(2L-1) drho
-    by tanh-sinh over the determinant ratios."""
+    """I_ab / sqrt(D_a D_b) by tanh-sinh over the determinant ratios, with
+
+        I_ab = int_0^2g W[seeds, J_a] W[seeds, J_b] / W[seeds]^2
+                        * rho^(2L-1) drho
+
+    and D_n = I_nn in closed form (_closed_diagonal).  The integrand is
+    scaled before it is summed, so the quadrature's absolute tolerance
+    applies to a quantity of size 1 whatever the size of the diagonals.
+    """
     orders = tuple(s.order for s in spectrum.states[:L])
     seed_rows = tuple(range(L))
     bord_rows = tuple(range(L + 1))
     nu_a = spectrum.states[a].order
     nu_b = spectrum.states[b].order
+    norm = math.sqrt(_closed_diagonal(L, a, params, spectrum)
+                     * _closed_diagonal(L, b, params, spectrum))
 
     def f(r: float) -> float:
         with specfun.MP_LOCK, mp.workdps(_det_dps(orders + (nu_a, nu_b), r)):
@@ -318,7 +319,7 @@ def _overlap_integral(L: int, a: int, b: int, params: PotentialParams,
                 raise NodeSingularity(f"seed Wronskian vanished at rho={r}")
             wa = _wronskian_det_mp(orders + (nu_a,), bord_rows, r)
             wb = _wronskian_det_mp(orders + (nu_b,), bord_rows, r)
-            val = wa * wb / (ws * ws) * mp.power(mp.mpf(r), 2 * L - 1)
+            val = wa * wb / (ws * ws) * mp.power(mp.mpf(r), 2 * L - 1) / norm
             return float(val)
 
     return tanh_sinh(f, 0.0, params.x_arg)
@@ -326,7 +327,7 @@ def _overlap_integral(L: int, a: int, b: int, params: PotentialParams,
 
 def _closed_diagonal(L: int, n: int, params: PotentialParams,
                      spectrum: Spectrum) -> float:
-    """_overlap_integral(L, n, n) in closed form.
+    """The diagonal I_nn of _overlap_integral in closed form.
 
     Crum (1955): the Wronskian-ratio eigenfunctions have
     ||psi_n^[L]||^2 = prod_{j<L} (E_n - E_j) ||psi_n||^2.  In the rho
@@ -345,15 +346,10 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
                                        pairs=None) -> dict:
     """Normalized overlap residuals of the level-L eigenfunctions.
 
-    For states a != b of equal parity the integral
-
-        I_ab = int_0^2g W[seeds, J_a](rho) W[seeds, J_b](rho) / W[seeds](rho)^2
-                        * rho^(2L-1) drho
-
+    For states a != b of equal parity the overlap I_ab (_overlap_integral)
     vanishes identically; the returned dict maps (a, b) to
-    |I_ab| / sqrt(I_aa I_bb), with the diagonals I_aa in closed form
-    (_closed_diagonal).  L = 0 reduces to plain same-parity orthogonality
-    of J(nu_m, rho) with weight 1/rho.
+    |I_ab| / sqrt(I_aa I_bb).  L = 0 reduces to plain same-parity
+    orthogonality of J(nu_m, rho) with weight 1/rho.
     """
     if spectrum.count < L + 2:
         raise ValueError(f"need at least L+2 = {L + 2} states")
@@ -361,15 +357,8 @@ def associated_orthogonality_residuals(L: int, params: PotentialParams,
     if pairs is None:
         pairs = [(a, b) for i, a in enumerate(indices) for b in indices[i + 1:]
                  if (a - b) % 2 == 0]
-    diag: dict[int, float] = {}
-    out: dict[tuple[int, int], float] = {}
-    for a, b in pairs:
-        for idx in (a, b):
-            if idx not in diag:
-                diag[idx] = _closed_diagonal(L, idx, params, spectrum)
-        out[(a, b)] = (abs(_overlap_integral(L, a, b, params, spectrum))
-                       / math.sqrt(diag[a] * diag[b]))
-    return out
+    return {(a, b): abs(_overlap_integral(L, a, b, params, spectrum))
+            for a, b in pairs}
 
 
 def eigen_equation_residual(L: int, n: int, params: PotentialParams,

@@ -67,9 +67,7 @@ def _wronskian_parts(k: float, g: float):
     """u = J(2ik, 2g), du = J'(2ik, 2g), their conjugates, and W (mpmath)."""
     x = 2.0 * g
     with specfun.MP_LOCK, mp.workdps(_parts_dps(k, g)):
-        # J and J' of one series entry
-        u = specfun.bessel_j_dn_mp(2j * k, x, 0)
-        du = specfun.bessel_j_dn_mp(2j * k, x, 1)
+        u, du = specfun.bessel_j_derivs_mp(2j * k, x, 1)
         v = mp.conj(u)       # J(-2ik, 2g), exact by conjugation symmetry
         dv = mp.conj(du)
         w = u * dv - du * v

@@ -37,7 +37,7 @@ __all__ = [
     "bessel_j_dn",
     "lommel_residual",
     "bessel_j_mp",
-    "bessel_j_dn_mp",
+    "bessel_j_derivs_mp",
     "working_dps",
 ]
 
@@ -274,8 +274,8 @@ def bessel_j(nu, x: float):
     return _to_py(val, _order_is_complex(nu))
 
 
-def bessel_j_dn_mp(nu: complex, x: float, n: int):
-    """n-th argument-derivative of J as an mpmath value.
+def bessel_j_derivs_mp(nu: complex, x: float, n: int) -> list:
+    """[J, J', ..., J^(n)] of J(nu, .) at x as mpmath values.
 
     J and J' are read off one series entry.  Higher derivatives follow
     from Bessel's equation differentiated k times,
@@ -283,14 +283,22 @@ def bessel_j_dn_mp(nu: complex, x: float, n: int):
         x^2 y^(k+2) = -[(2k+1) x y^(k+1) + (x^2 + k^2 - nu^2) y^(k)
                         + 2k x y^(k-1) + k(k-1) y^(k-2)],
 
-    run at ten digits above the working precision of (nu, x), whatever
-    precision the caller has set.
+    run once up the column at ten digits above the working precision of
+    (nu, x), whatever precision the caller has set; entry k does not
+    depend on n.
+
+    Small-x limit: for an integer order below k the derivative y^(k) is
+    far smaller than the terms that cancel to give it, and each step
+    loses about 2 log10(1/x) digits; against mpmath at 120 digits,
+    J^(5)(0, 1e-3) is off by 1.05e-11 relative and J^(6)(1, 1e-3) by
+    8.8e-8.  A non-integer order, such as every eigen-order, has
+    y^(k) ~ x^(nu-k), as large as the terms, and loses no such digits.
     """
     if not 0 <= n <= 12:
         raise ValueError(f"derivative order must be in [0, 12], got {n}")
     ys = list(_entry(nu, x, 1))
     if n <= 1:
-        return ys[n]
+        return ys[:n + 1]
     nu = complex(nu)
     with MP_LOCK, mp.workdps(working_dps(nu, x) + 10):
         xm = mp.mpf(x)
@@ -303,12 +311,12 @@ def bessel_j_dn_mp(nu: complex, x: float, n: int):
             if k >= 2:
                 acc += k * (k - 1) * ys[k - 2]
             ys.append(-acc / x2)
-    return ys[n]
+    return ys
 
 
 def bessel_j_dn(nu, x: float, n: int):
-    """n-th derivative of J with respect to its argument; see bessel_j_dn_mp."""
-    val = bessel_j_dn_mp(nu, x, n)
+    """n-th derivative of J in its argument; see bessel_j_derivs_mp."""
+    val = bessel_j_derivs_mp(nu, x, n)[n]
     return _to_py(val, _order_is_complex(nu))
 
 

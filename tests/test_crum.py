@@ -76,6 +76,42 @@ def test_gauge_identity_with_rho_multiplier():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _cofactor_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return mp.fsum((-1) ** j * a[0][j]
+                   * _cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+                   for j in range(len(a)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_determinant_against_mpmath_cofactor_expansion(size):
+    # independent route: mpmath's own derivatives of J and a Laplace
+    # expansion in place of the column recurrence and the elimination
+    orders = (0.37, 1.83, 2.61, 4.29)[:size]
+    for r in (0.9, 3.7, 7.2):
+        for rows in (tuple(range(size)), tuple(range(size - 1)) + (size,)):
+            with mp.workdps(60):
+                ref = _cofactor_det([[mp.besselj(nu, r, d) for nu in orders]
+                                     for d in rows])
+            got = crum._wronskian_det_mp(orders, rows, r)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (rows, r)
+
+
+def test_determinant_builds_one_column_per_order(monkeypatch):
+    calls = []
+    column = specfun.bessel_j_derivs_mp
+
+    def counted(nu, x, n):
+        calls.append(nu)
+        return column(nu, x, n)
+
+    monkeypatch.setattr(specfun, "bessel_j_derivs_mp", counted)
+    crum._wronskian_det_mp.cache_clear()
+    crum._wronskian_det_mp((0.41, 1.57, 2.93, 3.38), (0, 1, 2, 3), 2.3)
+    assert len(calls) == 4
+
+
 def test_crum_wronskian_no_extra_is_ground_state(spectrum_of):
     s = spectrum_of(5.0)
     p = PotentialParams(5.0)
@@ -301,9 +337,17 @@ def test_closed_diagonal_against_quadrature(g, level, spectrum_of):
     s = spectrum_of(g)
     p = PotentialParams(g)
     for n in range(level, level + 3):
-        quad = crum._overlap_integral(level, n, n, p, s)
-        assert crum._closed_diagonal(level, n, p, s) == pytest.approx(
-            quad, rel=1e-13)
+        # the overlap is integrated divided by the closed-form diagonals
+        assert abs(crum._overlap_integral(level, n, n, p, s) - 1.0) <= 1e-13
+
+
+def test_orthogonality_residual_L4_at_g12(spectrum_of):
+    # the off-diagonal integrand is as large as the diagonals (6e6-2e8)
+    # here; unscaled, tanh-sinh could not meet its absolute tolerance
+    s = spectrum_of(12.0)
+    res = associated_orthogonality_residuals(4, PotentialParams(12.0), s,
+                                             pairs=[(4, 6)])
+    assert res[(4, 6)] <= 1e-12
 
 
 def _norm_identity_row(g):
