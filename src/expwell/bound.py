@@ -8,11 +8,16 @@ quantizes kappa through order-zeros at the fixed argument 2g:
     even states:  J'(2 kappa, 2g) = 0     (derivative in the argument)
     odd states:   J(2 kappa, 2g) = 0
 
-The solver scans nu = 2 kappa on (0, 2g), brackets every sign change of
-both conditions, refines the roots, and uses the strict interlacing of
-the two zero families as a completeness certificate: parities must
-alternate even/odd/even/... when sorted by decreasing kappa, otherwise a
-root was missed and the scan is repeated at half the step.
+A new state enters at nu = 0 each time 2g crosses a zero of J_1 (even)
+or J_0 (odd); at 2g equal to such a zero there is no extra bound state.
+The solver scans nu = 2 kappa on [0, 2g) from nu = 0 itself, where the
+conditions read -J_1(2g) and J_0(2g), so the root of a state just past
+its threshold, and the ground state at weak coupling, lie in the first
+cell like any other.  It brackets every sign change of both conditions,
+refines the roots, and uses the strict interlacing of the two zero
+families as a completeness certificate: parities must alternate
+even/odd/even/... when sorted by decreasing kappa, otherwise a root was
+missed and the scan is repeated at half the step.
 """
 
 from __future__ import annotations
@@ -134,7 +139,11 @@ def _condition_residual(states: Sequence[BoundState], g: float) -> float:
 
 def _refine(f: Callable[[float], float], lo: float, hi: float,
             flo: float, fhi: float, tol: float) -> float:
-    """Bracketing bisection to 1e-6 width, then guarded secant to tol."""
+    """Bracketing bisection to 1e-6 width, then guarded secant until both
+    the width and the smaller |f| are at most min(tol, 1e-6 hi).  The
+    bound on the current upper end keeps a root near 0 (a state just
+    past its threshold, or the ground state at weak coupling) to its
+    relative accuracy; for roots above 1e-6 it is tol."""
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -146,7 +155,8 @@ def _refine(f: Callable[[float], float], lo: float, hi: float,
             hi, fhi = mid, fm
     x0, f0, x1, f1 = lo, flo, hi, fhi
     for _ in range(120):
-        if hi - lo <= tol and min(abs(f0), abs(f1)) <= tol:
+        eps = min(tol, 1e-6 * hi)
+        if hi - lo <= eps and min(abs(f0), abs(f1)) <= eps:
             break
         if f1 == f0:
             x2 = 0.5 * (lo + hi)
@@ -179,12 +189,6 @@ def _bracket_roots(f: Callable[[float], float], grid: Sequence[float],
     return roots
 
 
-def _small_g_seed(g: float) -> float:
-    """Two-term series estimate of the even root: (2g)^2 = 4 nu(nu+1)/(nu+2)."""
-    z2 = (2.0 * g) ** 2
-    return (-(4.0 - z2) + math.sqrt((4.0 - z2) ** 2 + 32.0 * z2)) / 8.0
-
-
 def find_spectrum(params: PotentialParams, tol: float = 1e-12) -> Spectrum:
     """All bound states, ordered by increasing energy (decreasing kappa).
 
@@ -208,21 +212,12 @@ def find_spectrum(params: PotentialParams, tol: float = 1e-12) -> Spectrum:
     for attempt in range(7):
         h = h0 / 2 ** attempt
         n_steps = int(math.floor(x / h))
-        grid = [1e-9] + [i * h for i in range(1, n_steps)]
+        grid = [i * h for i in range(n_steps)]
         if grid[-1] < x * (1.0 - 1e-12):
             grid.append(x * (1.0 - 1e-12))
         even_roots = _bracket_roots(even_f, grid, tol)
         odd_roots = _bracket_roots(odd_f, grid, tol)
 
-        # ground-state rescue: the even root ~ 2 g^2 can sit below the
-        # scan floor for extreme couplings
-        if not even_roots:
-            seed = _small_g_seed(g)
-            lo, hi = 0.25 * seed, min(4.0 * seed, 0.9 * x)
-            flo, fhi = even_f(lo), even_f(hi)
-            if (flo < 0.0) != (fhi < 0.0):
-                even_roots.append(_refine(even_f, lo, hi, flo, fhi,
-                                          min(tol, seed * 1e-6)))
         found_even = found_even or bool(even_roots)
 
         events = sorted(

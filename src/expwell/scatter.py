@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import specfun
-from .bound import (PotentialParams, Spectrum, _bracket_roots, _refine,
-                    even_condition, odd_condition)
+from .bound import (PotentialParams, Spectrum, _bracket_roots, even_condition,
+                    odd_condition)
 from .errors import DegenerateWronskian, PoleMismatch
 
 __all__ = [
@@ -119,7 +119,9 @@ def find_poles(params: PotentialParams, spectrum: Spectrum) -> PoleReport:
     The product is the continued numerator of A with the pure scale
     factor removed.  Each zero is classified by which factor vanished
     (J' <-> even, J <-> odd) and must match a bound state within 1e-6,
-    parity included; otherwise PoleMismatch is raised.
+    parity included; otherwise PoleMismatch is raised.  The scan starts
+    at kappa = 0, as find_spectrum's does, and takes nothing from the
+    spectrum it is matched against.
     """
     g = params.g
 
@@ -127,20 +129,10 @@ def find_poles(params: PotentialParams, spectrum: Spectrum) -> PoleReport:
         return even_condition(kappa, g) * odd_condition(kappa, g)
 
     h = min(0.025, g / 200.0)
-    grid = [1e-9] + [i * h for i in range(1, int(math.floor(g / h)))]
+    grid = [i * h for i in range(int(math.floor(g / h)))]
     if grid[-1] < g * (1.0 - 1e-12):
         grid.append(g * (1.0 - 1e-12))
     roots = _bracket_roots(product, grid, 1e-12)
-
-    # smallest bound state can sit below the scan floor at weak coupling
-    known = sorted((s.kappa for s in spectrum.states), reverse=True)
-    for kap in known:
-        if not any(abs(kap - r) <= 1e-6 for r in roots):
-            lo, hi = 0.5 * kap, min(1.5 * kap, g)
-            flo, fhi = product(lo), product(hi)
-            if (flo < 0.0) != (fhi < 0.0):
-                roots.append(_refine(product, lo, hi, flo, fhi,
-                                     min(1e-12, kap * 1e-7)))
     roots.sort(reverse=True)
 
     parities = tuple(

@@ -73,11 +73,11 @@ def _not_converged(nu: complex, x: float) -> ConvergenceError:
 
 
 def _sum_real(nu: float, x: float, dps: int, bits: int,
-              n: int) -> tuple[int, int, int, int]:
-    """Fixed-point sums of the real-order series, as ints: S times 2^bits;
-    for n >= 1 also sum_m m t_m times 2^bits; for n = 2 also
-    A = sum_m t_m H_m and B = sum_m m t_m H_m times 2^(2 bits), with
-    H_m = sum_{j=1..m} 1/(nu+j).  Sums not asked for are 0."""
+              harmonic: bool) -> tuple[int, int, int, int]:
+    """Fixed-point sums of the real-order series, as ints: S and
+    sum_m m t_m times 2^bits; if harmonic, also A = sum_m t_m H_m and
+    B = sum_m m t_m H_m times 2^(2 bits), with H_m = sum_{j=1..m}
+    1/(nu+j), else A = B = 0."""
     a, b = nu.as_integer_ratio()
     c, d = x.as_integer_ratio()
     # q / (m (nu + m)) = num / (den m (a + m b))
@@ -90,14 +90,13 @@ def _sum_real(nu: float, x: float, dps: int, bits: int,
     for m in range(1, _MAX_TERMS + 1):
         term = -(term * num // (den * m * (a + m * b)))
         total += term
-        if n:
-            mtotal += m * term
-            if n == 2:
-                # 1/(nu + m) = b / (a + m b)
-                harm += one * b // (a + m * b)
-                th = term * harm
-                htotal += th
-                mhtotal += m * th
+        mtotal += m * term
+        if harmonic:
+            # 1/(nu + m) = b / (a + m b)
+            harm += one * b // (a + m * b)
+            th = term * harm
+            htotal += th
+            mhtotal += m * th
         if abs(term) * scale <= abs(total):
             small_run += 1
             if small_run >= 3:
@@ -108,9 +107,9 @@ def _sum_real(nu: float, x: float, dps: int, bits: int,
 
 
 def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
-                 bits: int, weighted: bool):
+                 bits: int):
     """S and the sum of m t_m for complex order, as (re, im) int pairs
-    times 2^bits; the weighted pair is (0, 0) unless asked for."""
+    times 2^bits."""
     a, b_re = nu_re.as_integer_ratio()
     c, b_im = nu_im.as_integer_ratio()
     # both denominators are powers of two: the larger is a common one
@@ -131,9 +130,8 @@ def _sum_complex(nu_re: float, nu_im: float, x: float, dps: int,
                       -((t_im * u - t_re * c) * num // div))
         s_re += t_re
         s_im += t_im
-        if weighted:
-            w_re += m * t_re
-            w_im += m * t_im
+        w_re += m * t_re
+        w_im += m * t_im
         if (t_re * t_re + t_im * t_im) * scale2 <= s_re * s_re + s_im * s_im:
             small_run += 1
             if small_run >= 3:
@@ -151,9 +149,8 @@ def _fixed_to_mp(v, bits: int):
 
 
 @lru_cache(maxsize=200_000)
-def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
-    """J(nu, x) for n = 0, the pair (J, J') for n = 1, at the working
-    precision, as mpf/mpc.
+def _series_cached(nu_re: float, nu_im: float, x: float):
+    """The pair (J, J') at the working precision, as mpf/mpc.
 
     J = P S with the prefactor P = (x/2)^nu / Gamma(nu+1) and the
     normalised series S = sum_m t_m, t_m = (-q)^m / (m! (nu+1)_m),
@@ -166,9 +163,10 @@ def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
     of the partial sums.
 
     Since t_m goes as x^(2m) and P as x^nu, the argument derivative is
-    J' = (P/x) (nu S + 2 sum_m m t_m); for n = 1 the weighted sum is
-    accumulated in the same loop, so J and J' share one sum and one
-    prefactor.  n = 0 skips it: J-only callers pay nothing for J'.
+    J' = (P/x) (nu S + 2 sum_m m t_m); the weighted sum is accumulated in
+    the same loop, so J and J' share one sum and one prefactor, and one
+    entry per point serves every caller, J-only ones included.  Order
+    nu = 0 is an ordinary entry, with J'_0 = -J_1.
 
     The prefactor has no cancellation, and an error that scales the
     whole value cannot move a zero; it is computed in mpmath at the
@@ -177,17 +175,14 @@ def _series_cached(nu_re: float, nu_im: float, x: float, n: int):
     dps = working_dps(complex(nu_re, nu_im), x)
     bits = int(3.33 * dps) + 20
     if nu_im == 0.0:
-        s_fix, w_fix = _sum_real(nu_re, x, dps, bits, n)[:2]
+        s_fix, w_fix = _sum_real(nu_re, x, dps, bits, False)[:2]
     else:
-        s_fix, w_fix = _sum_complex(nu_re, nu_im, x, dps, bits, n == 1)
+        s_fix, w_fix = _sum_complex(nu_re, nu_im, x, dps, bits)
     with MP_LOCK, mp.workdps(dps):
         nu = mp.mpf(nu_re) if nu_im == 0.0 else mp.mpc(nu_re, nu_im)
         s = _fixed_to_mp(s_fix, bits)
         pref = mp.power(mp.mpf(x) / 2, nu) / mp.gamma(nu + 1)
-        j = pref * s
-        if n == 0:
-            return j
-        return j, pref * (nu * s + 2 * _fixed_to_mp(w_fix, bits)) / x
+        return pref * s, pref * (nu * s + 2 * _fixed_to_mp(w_fix, bits)) / x
 
 
 def _lommel_integral(nu: float, x: float) -> float:
@@ -208,32 +203,29 @@ def _lommel_integral(nu: float, x: float) -> float:
     """
     dps = working_dps(complex(nu), x)
     bits = int(3.33 * dps) + 20
-    s, w, a, b = _sum_real(nu, x, dps, bits, 2)
+    s, w, a, b = _sum_real(nu, x, dps, bits, True)
     comb = ((s * s) << bits) - 2 * s * b + 2 * w * a
     with MP_LOCK, mp.workdps(dps):
         pref = mp.power(mp.mpf(x) / 2, nu) / mp.gamma(mp.mpf(nu) + 1)
         return float(pref * pref * mp.mpf((comb, -3 * bits)) / (2 * nu))
 
 
-def _entry(nu: complex, x: float, n: int) -> tuple:
-    """(J,) for n = 0 and (J, J') for n = 1 as mpmath values, with the
-    conjugation and negative-integer reductions of bessel_j_mp applied
-    to both."""
+def _entry(nu: complex, x: float) -> tuple:
+    """(J, J') as mpmath values, with the conjugation and
+    negative-integer reductions of bessel_j_mp applied to both."""
     if x <= 0.0 or not math.isfinite(x):
         raise ValueError(f"argument must be positive and finite, got {x}")
     nu = complex(nu)
     k = _is_negative_integer(nu)
     if k is not None:
-        vals = _series_cached(float(-k), 0.0, float(x), n)
+        vals = _series_cached(float(-k), 0.0, float(x))
         fix = operator.neg if k % 2 else operator.pos
     elif nu.imag < 0.0:
-        vals = _series_cached(nu.real, -nu.imag, float(x), n)
+        vals = _series_cached(nu.real, -nu.imag, float(x))
         fix = mp.conj
     else:
-        vals = _series_cached(nu.real, nu.imag, float(x), n)
+        vals = _series_cached(nu.real, nu.imag, float(x))
         fix = None
-    if n == 0:
-        vals = (vals,)
     return vals if fix is None else tuple(fix(v) for v in vals)
 
 
@@ -244,7 +236,7 @@ def bessel_j_mp(nu: complex, x: float):
     order and conjugated back, so J(conj nu, x) == conj(J(nu, x)) holds
     bit-for-bit.  Negative integer orders reduce to J(-n) = (-1)^n J(n).
     """
-    return _entry(nu, x, 0)[0]
+    return _entry(nu, x)[0]
 
 
 def _to_py(val, want_complex: bool):
@@ -296,7 +288,7 @@ def bessel_j_derivs_mp(nu: complex, x: float, n: int) -> list:
     """
     if not 0 <= n <= 12:
         raise ValueError(f"derivative order must be in [0, 12], got {n}")
-    ys = list(_entry(nu, x, 1))
+    ys = list(_entry(nu, x))
     if n <= 1:
         return ys[:n + 1]
     nu = complex(nu)
@@ -329,8 +321,8 @@ def lommel_residual(nu, x: float) -> float:
     """
     nu = complex(nu)
     with MP_LOCK, mp.workdps(working_dps(nu, x) + 5):
-        jp, djp = _entry(nu, x, 1)
-        jm, djm = _entry(-nu, x, 1)
+        jp, djp = _entry(nu, x)
+        jm, djm = _entry(-nu, x)
         nupi = mp.pi * mp.mpc(nu) if nu.imag else mp.pi * mp.mpf(nu.real)
         resid = jp * djm - djp * jm + 2 * mp.sin(nupi) / (mp.pi * mp.mpf(x))
         return float(abs(resid))

@@ -29,6 +29,7 @@ from expwell import (
 )
 from expwell import bound, specfun
 from expwell.quadrature import gauss_geometric
+from expwell.scatter import find_poles
 from expwell.verify import run_battery
 
 # high-precision order-zero references (50-digit root refinement, frozen)
@@ -126,6 +127,31 @@ def test_small_g_two_term_seed(spectrum_of):
     assert s.states[0].kappa == pytest.approx(0.05 ** 2, rel=0.05)
     assert (2 * 0.05) ** 2 == pytest.approx(4 * nu * (nu + 1) / (nu + 2),
                                             rel=5e-3)
+
+
+_THRESHOLDS = np.sort(np.concatenate([jn_zeros(0, 4), jn_zeros(1, 4)]))[:4] / 2
+
+
+@pytest.mark.parametrize("t", _THRESHOLDS)
+def test_no_missed_state_just_above_threshold(t):
+    # the state entering at this threshold has nu of order 1e-10
+    g = float(t * (1 + 1e-10))
+    s = find_spectrum(PotentialParams(g))
+    n_even = sum(st_.parity == "even" for st_ in s.states)
+    assert (n_even, s.count - n_even) == (
+        1 + int(np.sum(jn_zeros(1, 4) < 2 * g)),
+        int(np.sum(jn_zeros(0, 4) < 2 * g)))
+    report = find_poles(s.params, s)
+    assert report.matched_state_indices == tuple(range(s.count))
+
+
+@pytest.mark.parametrize("g", [1e-7, 1e-5, 1e-4])
+def test_tiny_ground_state_relative_accuracy(g):
+    nu = find_spectrum(PotentialParams(g)).states[0].order
+    with mp.workdps(60):
+        ref = mp.findroot(lambda v: mp.besselj(v, 2 * mp.mpf(g), 1),
+                          mp.mpf(nu))
+        assert float(abs(nu - ref) / ref) <= 1e-12
 
 
 def test_spectrum_tol_validation():

@@ -9,6 +9,7 @@ import threading
 import jsonschema
 
 import numpy as np
+import pytest
 
 from expwell import crum, specfun
 from expwell.cli import _json_dump, main
@@ -123,6 +124,19 @@ def test_crum_command(capsys):
     assert len(doc["results"]["x_grid"]) == 201
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scatter", "--g", "1", "--k", "1e-4"], "at least 1e-3"),
+    (["scatter", "--g", "1", "--kmin", "1", "--kmax", "0.5"], "kmin < kmax"),
+    (["scatter", "--g", "1", "--n", "0"], "n >= 1"),
+    (["crum", "--g", "5", "--L", "0"], "L must be >= 1"),
+])
+def test_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_crum_insufficient_states(capsys):
     code, _, err = run_cli(capsys, "crum", "--g", "1", "--L", "2")
     assert code == 2
@@ -134,6 +148,16 @@ def test_verify_command(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_verify_out_file(tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--g", "1", "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["pass"] is True
+    assert len(doc["results"]["checks"]) == len(out.splitlines())
 
 
 def test_verify_rejects_report_flags(capsys):

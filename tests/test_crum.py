@@ -196,9 +196,9 @@ def test_battery_crum_gap_fails_on_perturbed_derivative(monkeypatch):
     # from the order recurrence: a J' off by 1e-9 must show in the gap
     exact = specfun._series_cached
 
-    def perturbed(nu_re, nu_im, x, n):
-        val = exact(nu_re, nu_im, x, n)
-        return (val[0], val[1] * (1 + 1e-9)) if n == 1 else val
+    def perturbed(nu_re, nu_im, x):
+        val = exact(nu_re, nu_im, x)
+        return val[0], val[1] * (1 + 1e-9)
 
     monkeypatch.setattr(specfun, "_series_cached", perturbed)
     crum._wronskian_det_mp.cache_clear()
@@ -385,6 +385,41 @@ def test_battery_crum_norm_identity_fails_on_perturbed_norm(monkeypatch):
     row = _norm_identity_row(2.1)
     assert not row.passed
     assert row.value >= 5e-10
+
+
+def _crum_orthogonality_row(g):
+    (row,) = [c for c in run_battery(g)
+              if c.name == "crum_orthogonality_residual"]
+    return row
+
+
+def test_battery_crum_orthogonality_row():
+    row = _crum_orthogonality_row(5.0)
+    assert not row.skipped and row.passed
+
+
+def test_battery_crum_orthogonality_fails_on_perturbed_state(monkeypatch):
+    exact = bound.find_spectrum
+    eps = 1e-6
+
+    def perturbed(params, tol=1e-12):
+        s = exact(params, tol)
+        s3 = s.states[3]
+        s3 = dataclasses.replace(s3, kappa=s3.kappa * (1 + eps),
+                                 order=s3.order * (1 + eps),
+                                 energy=s3.energy * (1 + eps) ** 2)
+        return dataclasses.replace(s, states=s.states[:3] + (s3,)
+                                   + s.states[4:])
+
+    monkeypatch.setattr(bound, "find_spectrum", perturbed)
+    crum._wronskian_det_mp.cache_clear()
+    try:
+        row = _crum_orthogonality_row(5.0)
+    finally:
+        # determinants built from perturbed orders must not outlive the test
+        crum._wronskian_det_mp.cache_clear()
+    assert not row.passed
+    assert row.value >= 1e-6
 
 
 def test_wronskian_composition_identity(spectrum_of):
