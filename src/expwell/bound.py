@@ -10,24 +10,31 @@ quantizes kappa through order-zeros at the fixed argument 2g:
 
 A new state enters at nu = 0 each time 2g crosses a zero of J_1 (even)
 or J_0 (odd); at 2g equal to such a zero there is no extra bound state.
-The solver scans nu = 2 kappa on [0, 2g) from nu = 0 itself, where the
-conditions read -J_1(2g) and J_0(2g), so the root of a state just past
-its threshold, and the ground state at weak coupling, lie in the first
-cell like any other.  It brackets every sign change of both conditions,
-refines the roots, and uses the strict interlacing of the two zero
-families as a completeness certificate: parities must alternate
-even/odd/even/... when sorted by decreasing kappa, otherwise a root was
-missed and the scan is repeated at half the step.
+For nu >= 0 the prefactor (g^nu / Gamma(nu+1)) of J is positive, so the
+two conditions have the signs and zeros of the series' integer sums S
+and nu S + 2W, whose order derivatives come from the same loop
+(specfun._order_sums).  One engine finds both families: it walks a
+grid in nu = 2 kappa on [0, 2g] with step min(0.5, g), from nu = 0
+itself, where the conditions read -J_1(2g) and J_0(2g), so the root of
+a state just past its threshold, and the ground state at weak coupling,
+lie in the first cell like any other.  It refines each sign change by
+Newton in nu, and uses the strict interlacing of the two zero families
+as a completeness certificate: parities must alternate even/odd/even/...
+when sorted by decreasing kappa, otherwise a root was missed and the
+scan is repeated at half the step.  _condition_residual (the battery's
+quantization_residual row) re-evaluates the conditions at the roots
+through the (J, J') series entries, a second route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import specfun
-from .errors import InterlacingViolation, NoGroundState, NonFiniteValueError
+from .errors import (ConvergenceError, InterlacingViolation, NoGroundState,
+                     NonFiniteValueError)
 from .quadrature import tanh_sinh
 
 __all__ = [
@@ -136,94 +143,91 @@ def _condition_residual(states: Sequence[BoundState], g: float) -> float:
 # ---------------------------------------------------------------------------
 # root finding in the order variable nu = 2 kappa
 
-
-def _refine(f: Callable[[float], float], lo: float, hi: float,
-            flo: float, fhi: float, tol: float) -> float:
-    """Bracketing bisection to 1e-6 width, then guarded secant until both
-    the width and the smaller |f| are at most min(tol, 1e-6 hi).  The
-    bound on the current upper end keeps a root near 0 (a state just
-    past its threshold, or the ground state at weak coupling) to its
-    relative accuracy; for roots above 1e-6 it is tol."""
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    x0, f0, x1, f1 = lo, flo, hi, fhi
-    for _ in range(120):
-        eps = min(tol, 1e-6 * hi)
-        if hi - lo <= eps and min(abs(f0), abs(f1)) <= eps:
-            break
-        if f1 == f0:
-            x2 = 0.5 * (lo + hi)
-        else:
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not (lo < x2 < hi):
-                x2 = 0.5 * (lo + hi)
-        f2 = f(x2)
-        if f2 == 0.0:
-            return x2
-        if (f2 < 0.0) == (flo < 0.0):
-            lo, flo = x2, f2
-        else:
-            hi, fhi = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return lo if abs(flo) <= abs(fhi) else hi
+# Newton steps per root before the engine gives up
+_MAX_NEWTON = 100
 
 
-def _bracket_roots(f: Callable[[float], float], grid: Sequence[float],
-                   tol: float) -> list[float]:
+def _newton_step(vals: tuple, k: int) -> float:
+    # the ints share one scale, so their ratio is rounded once
+    return vals[k] / vals[k + 2] if vals[k + 2] else math.inf
+
+
+def _newton(x: float, k: int, lo: float, hi: float, vlo: tuple,
+            vhi: tuple, tol: float) -> float:
+    """Root in (lo, hi) of value k of specfun._order_sums (0: J, odd;
+    1: J', even), whose sign differs at the two ends.
+
+    Newton on the order, from the end with the shorter step, bisecting
+    whenever a step leaves the bracket.  The new point nu is accepted as
+    soon as the step to it is at most min(tol, 1e-6 nu)/4, before the
+    bracket test: a converged point may round onto a bracket end.  The
+    relative bound keeps a root near 0 (a state just past its threshold,
+    or the ground state at weak coupling) to its relative accuracy; for
+    roots above 1e-6 it is tol.
+    """
+    neg_lo = (vlo[k] or vlo[k + 2]) < 0
+    slo, shi = _newton_step(vlo, k), _newton_step(vhi, k)
+    nu, step = (lo, slo) if abs(slo) <= abs(shi) else (hi, shi)
+    for _ in range(_MAX_NEWTON):
+        nu -= step
+        if abs(step) <= min(tol, 1e-6 * nu) / 4:
+            return nu
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+        vals = specfun._order_sums(nu, x)
+        if (vals[k] < 0) == neg_lo:
+            lo = nu
+        else:
+            hi = nu
+        step = _newton_step(vals, k)
+    raise ConvergenceError(
+        f"order root in ({lo}, {hi}) at x = {x} did not converge "
+        f"within {_MAX_NEWTON} Newton steps")
+
+
+def _scan(x: float, h: float, tol: float) -> list[tuple[float, str]]:
+    """One pass over the order grid 0, h, 2h, ... < x, then x: every root
+    of both conditions, as (nu, parity) by decreasing nu.
+
+    Each grid point is one integer sum serving both families.  A value
+    that is exactly 0 takes the sign of its order derivative, the sign
+    just above it: a root exactly at a grid point is counted once, and a
+    root at nu = 0 itself, where 2g equals a zero of J_0 or J_1, is not
+    counted.
+    """
+    grid = [i * h for i in range(math.ceil(x / h))] + [x]
+    vals = [specfun._order_sums(nu, x) for nu in grid]
     roots = []
-    fprev = f(grid[0])
     for i in range(1, len(grid)):
-        fcur = f(grid[i])
-        if fcur == 0.0:
-            roots.append(grid[i])
-        elif (fcur < 0.0) != (fprev < 0.0):
-            roots.append(_refine(f, grid[i - 1], grid[i], fprev, fcur, tol))
-        fprev = fcur
-    return roots
+        a, b = vals[i - 1], vals[i]
+        for k, parity in ((0, "odd"), (1, "even")):
+            if ((a[k] or a[k + 2]) < 0) != ((b[k] or b[k + 2]) < 0):
+                nu = _newton(x, k, grid[i - 1], grid[i], a, b, tol)
+                roots.append((nu, parity))
+    return sorted(roots, key=lambda r: -r[0])
 
 
 def find_spectrum(params: PotentialParams, tol: float = 1e-12) -> Spectrum:
     """All bound states, ordered by increasing energy (decreasing kappa).
 
+    The order nu = 2 kappa is scanned on [0, 2g] in steps of
+    min(0.5, g); each sign change of J(nu, 2g) (odd) or J'(nu, 2g) (even)
+    is refined by Newton in nu to min(tol, 1e-6 nu) (see _newton).  At
+    2g equal to a zero of J_1 or J_0 exactly the new root sits at nu = 0,
+    kappa = 0, and is no bound state; just above, it is one.
+
     Raises InterlacingViolation if root parities fail to alternate after
-    repeated grid refinement, NoGroundState if no even root exists.
+    repeated grid refinement, NoGroundState if no even root exists, and
+    ConvergenceError if a root does not converge.
     """
     if tol < 1e-13:
         raise ValueError("tol must be >= 1e-13")
     g = params.g
     x = params.x_arg
-
-    # the scan runs in nu = 2 kappa; halving nu is exact
-    def even_f(nu: float) -> float:
-        return even_condition(0.5 * nu, g)
-
-    def odd_f(nu: float) -> float:
-        return odd_condition(0.5 * nu, g)
-
-    h0 = min(0.05, x / 200.0)
     found_even = False
     for attempt in range(7):
-        h = h0 / 2 ** attempt
-        n_steps = int(math.floor(x / h))
-        grid = [i * h for i in range(n_steps)]
-        if grid[-1] < x * (1.0 - 1e-12):
-            grid.append(x * (1.0 - 1e-12))
-        even_roots = _bracket_roots(even_f, grid, tol)
-        odd_roots = _bracket_roots(odd_f, grid, tol)
-
-        found_even = found_even or bool(even_roots)
-
-        events = sorted(
-            [(nu, "even") for nu in even_roots] + [(nu, "odd") for nu in odd_roots],
-            key=lambda e: -e[0],
-        )
+        events = _scan(x, min(0.5, g) / 2 ** attempt, tol)
+        found_even = found_even or any(p == "even" for _, p in events)
         parities_ok = bool(events) and all(
             p == ("even" if i % 2 == 0 else "odd")
             for i, (_, p) in enumerate(events)

@@ -11,20 +11,18 @@ purely imaginary and nonzero for every k > 0, so the system is never
 degenerate.  Amplitudes follow as t = 1/A, r = B/A.  Continuing k to
 the positive imaginary axis turns A's numerator into
 J'(2 kappa, 2g) J(2 kappa, 2g), whose zeros reproduce the bound-state
-quantization conditions factor by factor: that bijection is checked by
-find_poles.
+quantization conditions factor by factor: find_poles lists them, each
+with its factor, and matches them to a spectrum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from . import specfun
-from .bound import (PotentialParams, Spectrum, _bracket_roots, even_condition,
-                    odd_condition)
+from .bound import PotentialParams, Spectrum, find_spectrum
 from .errors import DegenerateWronskian, PoleMismatch
 
 __all__ = [
@@ -117,41 +115,27 @@ def find_poles(params: PotentialParams, spectrum: Spectrum) -> PoleReport:
     """Zeros of J'(2 kappa, 2g) * J(2 kappa, 2g) on kappa in (0, g).
 
     The product is the continued numerator of A with the pure scale
-    factor removed.  Each zero is classified by which factor vanished
-    (J' <-> even, J <-> odd) and must match a bound state within 1e-6,
-    parity included; otherwise PoleMismatch is raised.  The scan starts
-    at kappa = 0, as find_spectrum's does, and takes nothing from the
-    spectrum it is matched against.
+    factor removed, so its zeros are those of its two factors, the two
+    quantization conditions.  They are found by the same order-root
+    engine as find_spectrum's, run here on its own; each zero's parity
+    is the factor it is a zero of (J' <-> even, J <-> odd).  Each must
+    match a bound state within 1e-6, parity included; otherwise
+    PoleMismatch is raised.  Nothing is taken from the spectrum it is
+    matched against, but as both sides come from one engine, a match
+    checks the matching and not a second route.
     """
-    g = params.g
-
-    def product(kappa: float) -> float:
-        return even_condition(kappa, g) * odd_condition(kappa, g)
-
-    h = min(0.025, g / 200.0)
-    grid = [i * h for i in range(int(math.floor(g / h)))]
-    if grid[-1] < g * (1.0 - 1e-12):
-        grid.append(g * (1.0 - 1e-12))
-    roots = _bracket_roots(product, grid, 1e-12)
-    roots.sort(reverse=True)
-
-    parities = tuple(
-        "even" if abs(even_condition(r, g)) <= abs(odd_condition(r, g)) else "odd"
-        for r in roots
-    )
+    poles = find_spectrum(params).states
     states = spectrum.states
-    if len(roots) != len(states):
+    if len(poles) != len(states):
         raise PoleMismatch(
-            f"{len(roots)} poles vs {len(states)} bound states at g = {g}"
+            f"{len(poles)} poles vs {len(states)} bound states at g = {params.g}"
         )
-    matched = []
-    for i, (r, p) in enumerate(zip(roots, parities)):
-        s = states[i]
-        if abs(r - s.kappa) > 1e-6 or p != s.parity:
+    for p, s in zip(poles, states):
+        if abs(p.kappa - s.kappa) > 1e-6 or p.parity != s.parity:
             raise PoleMismatch(
-                f"pole {r} ({p}) does not match state m={s.m} "
+                f"pole {p.kappa} ({p.parity}) does not match state m={s.m} "
                 f"(kappa={s.kappa}, {s.parity})"
             )
-        matched.append(s.m)
-    return PoleReport(kappa_poles=tuple(roots), parities=parities,
-                      matched_state_indices=tuple(matched))
+    return PoleReport(kappa_poles=tuple(p.kappa for p in poles),
+                      parities=tuple(p.parity for p in poles),
+                      matched_state_indices=tuple(s.m for s in states))

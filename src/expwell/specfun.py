@@ -185,29 +185,50 @@ def _series_cached(nu_re: float, nu_im: float, x: float):
         return pref * s, pref * (nu * s + 2 * _fixed_to_mp(w_fix, bits)) / x
 
 
+def _order_sums(nu: float, x: float) -> tuple[int, int, int, int, int]:
+    """(S, nu S + 2W, -A, S - nu A - 2B, D) for real order nu >= 0:
+    four exact values as ints over the common power of two D.
+
+    S and nu S + 2W are J and x J' divided by the prefactor
+    P = (x/2)^nu / Gamma(nu+1), which is positive for nu >= 0, so they
+    carry the signs and zeros of J and J'.  With d_nu t_m = -t_m H_m,
+    the next two are their order derivatives (W = sum_m m t_m,
+    A = sum_m t_m H_m, B = sum_m m t_m H_m).  All four come from one
+    integer loop with nu taken as an exact ratio, whose denominator is a
+    power of two, and are combined exactly in ints; a caller rounds a
+    ratio of two of them, or their combination, once.  No prefactor, no
+    mpmath, no cache.
+    """
+    dps = working_dps(complex(nu), x)
+    bits = int(3.33 * dps) + 20
+    s, w, a, b = _sum_real(nu, x, dps, bits, True)
+    n, d = nu.as_integer_ratio()
+    one = 1 << bits
+    return (d * s * one, (n * s + 2 * d * w) * one, -d * a,
+            d * s * one - n * a - 2 * d * b, d * one * one)
+
+
 def _lommel_integral(nu: float, x: float) -> float:
     """integral_0^x J(nu, t)^2 dt/t for real order nu > 0, in closed form.
 
     Lommel's integral in the limit mu -> nu (DLMF 10.22, Watson 5.11)
     gives it as (x/2nu) (J d_nu J' - J' d_nu J).  With J = P S and
-    J' = (P/x)(nu S + 2W), W = sum_m m t_m, the order derivative of the
-    prefactor, P (ln(x/2) - psi(nu+1)), cancels from that combination,
-    and d_nu t_m = -t_m H_m with H_m = sum_{j=1..m} 1/(nu+j).  So
+    J' = (P/x)(nu S + 2W), the order derivative of the prefactor,
+    P (ln(x/2) - psi(nu+1)), cancels from that combination, and with the
+    values of _order_sums
 
-        integral = P^2 (S^2 - 2 S B + 2 W A) / (2 nu),
+        integral = P^2 (S d_nu(nu S + 2W) - (nu S + 2W) d_nu S) / (2 nu)
+                 = P^2 (S^2 - 2 S B + 2 W A) / (2 nu),
 
-    A = sum_m t_m H_m, B = sum_m m t_m H_m.  The four sums come from one
-    integer loop and are combined exactly in ints; P is formed as in
-    _series_cached.  One expression serves both parities, so it does not
-    rely on J or J' vanishing exactly at a rounded root.
+    combined exactly in ints; P is formed as in _series_cached.  One
+    expression serves both parities, so it does not rely on J or J'
+    vanishing exactly at a rounded root.
     """
-    dps = working_dps(complex(nu), x)
-    bits = int(3.33 * dps) + 20
-    s, w, a, b = _sum_real(nu, x, dps, bits, True)
-    comb = ((s * s) << bits) - 2 * s * b + 2 * w * a
-    with MP_LOCK, mp.workdps(dps):
+    s, e, ds, de, den = _order_sums(nu, x)
+    with MP_LOCK, mp.workdps(working_dps(complex(nu), x)):
         pref = mp.power(mp.mpf(x) / 2, nu) / mp.gamma(mp.mpf(nu) + 1)
-        return float(pref * pref * mp.mpf((comb, -3 * bits)) / (2 * nu))
+        comb = mp.mpf(s * de - e * ds) / (den * den)
+        return float(pref * pref * comb / (2 * nu))
 
 
 def _entry(nu: complex, x: float) -> tuple:

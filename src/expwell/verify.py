@@ -60,11 +60,12 @@ def _ok(name: str, passed: bool, note: str = "") -> CheckResult:
     return CheckResult(name, None, None, "bool", passed, note)
 
 
-def _cross_product_size(nu, x: float) -> float:
-    """|J_nu J'_-nu| + |J'_nu J_-nu|, the size of the two products whose
-    difference lommel_residual compares with its closed form."""
-    return (abs(bessel_j_dn(nu, x, 0) * bessel_j_dn(-nu, x, 1))
-            + abs(bessel_j_dn(nu, x, 1) * bessel_j_dn(-nu, x, 0)))
+def _cross_product_scale(nu, x: float) -> float:
+    """(|J_nu| + |J'_nu|)(|J_-nu| + |J'_-nu|), which bounds both products
+    whose difference lommel_residual compares with its closed form and,
+    unlike them, does not vanish where J' or J does."""
+    return ((abs(bessel_j_dn(nu, x, 0)) + abs(bessel_j_dn(nu, x, 1)))
+            * (abs(bessel_j_dn(-nu, x, 0)) + abs(bessel_j_dn(-nu, x, 1))))
 
 
 def run_battery(g: float) -> list[CheckResult]:
@@ -96,19 +97,19 @@ def run_battery(g: float) -> list[CheckResult]:
                    bound._condition_residual(states, g), 1e-10))
 
     # Kernel check: the cross product J_nu J'_-nu - J'_nu J_-nu against its
-    # closed form -2 sin(nu pi)/(pi x), relative to the size of its two
-    # products (the closed form vanishes near integer nu, the products do
-    # not).  Each J and J' holds the working precision, at least 25
-    # digits, and a correct kernel reads at most 3.1e-26 for g = 0.001-25
-    # (largest next to integer nu); the bound leaves room for that and
-    # fails a J or J' off in its 16th digit.  Just past a threshold both
-    # products shrink with the new state's nu: up to 1.3e-23 at 1e-10
-    # relative in g, above the bound within about 1e-13.
+    # closed form -2 sin(nu pi)/(pi x), relative to the size of the values
+    # it is formed from (the closed form vanishes near integer nu, and
+    # just past a threshold, where the new state's nu is tiny and
+    # J'_(+-nu) ~ -J_1 ~ 0, both products do; that scale does not).  Each
+    # J and J' holds the working precision, at least 25 digits, and a
+    # correct kernel reads at most 1.2e-27 for g = 0.001-25 and just past
+    # the first thresholds; the bound leaves room for that and fails a J
+    # or J' off in its 16th digit.
     x_arg = params.x_arg
     lommel = 0.0
     for nu in [s.order for s in states] + [2j * k for k in _LOMMEL_KS]:
         lommel = max(lommel, lommel_residual(nu, x_arg)
-                     / _cross_product_size(nu, x_arg))
+                     / _cross_product_scale(nu, x_arg))
     out.append(_le("kernel_lommel_residual", lommel, 1e-20,
                    f"orders of {count} states, 2ik for k in {_LOMMEL_KS}"))
 

@@ -28,6 +28,7 @@ from expwell import (
     rho,
 )
 from expwell import bound, specfun
+from expwell.errors import ConvergenceError, InterlacingViolation
 from expwell.quadrature import gauss_geometric
 from expwell.scatter import find_poles
 from expwell.verify import run_battery
@@ -134,24 +135,63 @@ _THRESHOLDS = np.sort(np.concatenate([jn_zeros(0, 4), jn_zeros(1, 4)]))[:4] / 2
 
 @pytest.mark.parametrize("t", _THRESHOLDS)
 def test_no_missed_state_just_above_threshold(t):
-    # the state entering at this threshold has nu of order 1e-10
-    g = float(t * (1 + 1e-10))
-    s = find_spectrum(PotentialParams(g))
-    n_even = sum(st_.parity == "even" for st_ in s.states)
-    assert (n_even, s.count - n_even) == (
-        1 + int(np.sum(jn_zeros(1, 4) < 2 * g)),
-        int(np.sum(jn_zeros(0, 4) < 2 * g)))
-    report = find_poles(s.params, s)
-    assert report.matched_state_indices == tuple(range(s.count))
+    # the state entering at this threshold has nu of order eps
+    for eps in (1e-13, 1e-10, 1e-6, 1e-3):
+        g = float(t * (1 + eps))
+        s = find_spectrum(PotentialParams(g))
+        n_even = sum(st_.parity == "even" for st_ in s.states)
+        assert (n_even, s.count - n_even) == (
+            1 + int(np.sum(jn_zeros(1, 4) < 2 * g)),
+            int(np.sum(jn_zeros(0, 4) < 2 * g)))
+        report = find_poles(s.params, s)
+        assert report.matched_state_indices == tuple(range(s.count))
 
 
-@pytest.mark.parametrize("g", [1e-7, 1e-5, 1e-4])
+@pytest.mark.parametrize("g", [1e-7, 1e-5, 1e-4, 7.0e-4, 1.3e-3])
 def test_tiny_ground_state_relative_accuracy(g):
     nu = find_spectrum(PotentialParams(g)).states[0].order
     with mp.workdps(60):
         ref = mp.findroot(lambda v: mp.besselj(v, 2 * mp.mpf(g), 1),
                           mp.mpf(nu))
-        assert float(abs(nu - ref) / ref) <= 1e-12
+        assert float(abs(nu - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("passes_missing", [1, 7])
+def test_missed_root_rescans_then_raises(passes_missing, monkeypatch):
+    # state 2 (even) is missing from the first passes_missing scans; the
+    # parities then fail to alternate, and the engine halves the step
+    params = PotentialParams(5.0)
+    clean = find_spectrum(params)
+    scan, steps = bound._scan, []
+
+    def drop_state_2(x, h, tol):
+        steps.append(h)
+        events = scan(x, h, tol)
+        return events[:2] + events[3:] if len(steps) <= passes_missing \
+            else events
+
+    monkeypatch.setattr(bound, "_scan", drop_state_2)
+    if passes_missing == 1:
+        assert find_spectrum(params) == clean
+        assert steps == [0.5, 0.25]
+    else:
+        with pytest.raises(InterlacingViolation):
+            find_spectrum(params)
+        assert len(steps) == 7
+
+
+def test_unconverged_root_raises(monkeypatch):
+    # no end of the bracket is returned as a root in place of a converged one
+    monkeypatch.setattr(bound, "_MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceError):
+        find_spectrum(PotentialParams(5.0))
+
+
+def test_scan_takes_no_series_entry():
+    # the scan reads the integer sums directly, not the (J, J') cache
+    specfun._series_cached.cache_clear()
+    find_spectrum(PotentialParams(5.0))
+    assert specfun._series_cached.cache_info().misses == 0
 
 
 def test_spectrum_tol_validation():

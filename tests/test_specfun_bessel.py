@@ -176,8 +176,10 @@ def _lommel_row(g):
 
 
 def test_battery_kernel_lommel_row_passes():
-    row = _lommel_row(2.1)
-    assert row.passed and row.value <= 1e-24
+    # 1.9158...: j_11/2 (1 + 1e-13), where J'_(+-nu) ~ -J_1 ~ 0
+    for g in (2.1, 1.9158529851039476):
+        row = _lommel_row(g)
+        assert row.passed and row.value <= 1e-24
 
 
 def test_battery_kernel_lommel_row_fails_on_perturbed_kernel(monkeypatch):
